@@ -5,7 +5,7 @@ use std::fmt;
 use vp_predictor::PredictorStats;
 
 /// Outcome of replaying one trace through the abstract machine.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IlpResult {
     /// Instructions analysed.
     pub instructions: u64,

@@ -11,14 +11,17 @@
 //!    instruction set, biased toward the control/data shapes the paper
 //!    cares about: loops, stride address arithmetic, data-dependent loads
 //!    and directive-tagged value producers.
-//! 2. **Reference implementations** ([`refsim`], [`refpred`]) that are
+//! 2. **Reference implementations** ([`refsim`], [`refpred`],
+//!    [`refprof`], [`refilp`]) that are
 //!    deliberately simple — row-oriented, allocation-happy, map-based —
 //!    and therefore easy to audit against the instruction semantics in
-//!    `vp_sim::exec` and the predictor definitions in `vp_predictor`.
+//!    `vp_sim::exec`, the predictor definitions in `vp_predictor`, the
+//!    Phase-2 collector in `vp_profile` and the §5.3 machine in `vp_ilp`.
 //! 3. **A differential oracle** ([`oracle`]) that runs both stacks on the
 //!    same fuzzed program and demands bit-identical register files,
-//!    memories, retirement event streams, serialised traces and
-//!    [`vp_predictor::PredictorStats`] blocks.
+//!    memories, retirement event streams, serialised traces,
+//!    [`vp_predictor::PredictorStats`] blocks, profile images and ILP
+//!    results.
 //!
 //! On top sit [`coverage`]-guided case scheduling (the generator is steered
 //! toward opcodes the corpus has exercised least), automatic input
@@ -33,7 +36,9 @@ pub mod coverage;
 pub mod fuzz;
 pub mod generate;
 pub mod oracle;
+pub mod refilp;
 pub mod refpred;
+pub mod refprof;
 pub mod refsim;
 pub mod shrink;
 
@@ -42,6 +47,8 @@ pub use coverage::Coverage;
 pub use fuzz::{run_fuzz, FuzzOptions, FuzzReport};
 pub use generate::{gen_program, GenConfig};
 pub use oracle::{run_case, Divergence};
+pub use refilp::RefIlpMachine;
 pub use refpred::ref_predict;
+pub use refprof::RefProfileCollector;
 pub use refsim::{ref_run, RefOutcome};
 pub use shrink::shrink_program;

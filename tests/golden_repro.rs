@@ -201,6 +201,23 @@ fn golden_ablation_counters() {
     );
 }
 
+// The two ILP ablations submit one deduplicated ILP plan per row; these
+// snapshots were captured from the per-configuration replays that
+// preceded the plan and pin the fused path byte-for-byte against them.
+
+#[test]
+fn golden_ablation_penalty() {
+    let kind = KINDS[0];
+    let rows = ablations::penalty(suite(), kind, &[0, 1, 2, 4, 8]);
+    check("ablation_penalty", &ablations::render_penalty(kind, &rows));
+}
+
+#[test]
+fn golden_ablation_branch() {
+    let rows = ablations::front_end(suite(), &KINDS);
+    check("ablation_branch", &ablations::render_front_end(&rows));
+}
+
 // Streaming is an execution strategy, never a result change: the same
 // experiment through a bounded-memory streaming suite must render
 // byte-identically to the batch suite (which `golden_classification`
