@@ -10,6 +10,7 @@
 //!               [--max-accuracy-drop=0.005] \
 //!               [--max-phase-share-regression=0.15] \
 //!               [--max-matrix-passes-per-trace=1] \
+//!               [--max-ilp-passes-per-trace=1] \
 //!               [--max-peak-rss-regression=0.25]
 //! ```
 //!
@@ -47,6 +48,12 @@
 //! manifest without the two counters, or one that swept no traces at
 //! all, is a usage error (exit 2): the gate was asked to check a run
 //! that never exercised the fused sweep.
+//!
+//! `--max-ilp-passes-per-trace=N` gates ILP *fusion* the same way: the
+//! `ilp.passes` counter may not exceed `N` times `ilp.traces` (distinct
+//! reference traces that fed an ILP plan). CI runs with `N=1`, so Table
+//! 5.2 cannot silently fall back to one replay per machine. Missing
+//! counters, or no ILP trace at all, exit 2.
 //!
 //! `--max-peak-rss-regression=F` gates peak memory: the current run's
 //! peak resident set size may not exceed the baseline's by more than `F`
@@ -100,6 +107,7 @@ struct Args {
     max_accuracy_drop: Option<f64>,
     max_phase_share_regression: Option<f64>,
     max_matrix_passes_per_trace: Option<u64>,
+    max_ilp_passes_per_trace: Option<u64>,
     max_peak_rss_regression: Option<f64>,
 }
 
@@ -109,6 +117,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut max_accuracy_drop = None;
     let mut max_phase_share_regression = None;
     let mut max_matrix_passes_per_trace = None;
+    let mut max_ilp_passes_per_trace = None;
     let mut max_peak_rss_regression = None;
     for arg in provp_bench::args::normalize(args, &[])? {
         if let Some(p) = arg.strip_prefix("--manifest=") {
@@ -150,10 +159,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     })?,
             );
         } else if let Some(v) = arg.strip_prefix("--max-matrix-passes-per-trace=") {
-            max_matrix_passes_per_trace =
-                Some(v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    format!("bad --max-matrix-passes-per-trace value `{v}` (want >= 1)")
-                })?);
+            max_matrix_passes_per_trace = Some(parse_per_trace("matrix", v)?);
+        } else if let Some(v) = arg.strip_prefix("--max-ilp-passes-per-trace=") {
+            max_ilp_passes_per_trace = Some(parse_per_trace("ilp", v)?);
         } else if let Some(v) = arg.strip_prefix("--max-peak-rss-regression=") {
             max_peak_rss_regression =
                 Some(v.parse().ok().filter(|r| *r >= 0.0).ok_or_else(|| {
@@ -164,7 +172,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 "unknown argument `{arg}` (try --manifest=, --baseline=, --max-regression=, \
                  --phase=, --max-phase-regression=, --max-accuracy-drop=, \
                  --max-phase-share-regression=, --max-matrix-passes-per-trace=, \
-                 --max-peak-rss-regression=)"
+                 --max-ilp-passes-per-trace=, --max-peak-rss-regression=)"
             ));
         }
     }
@@ -177,18 +185,36 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         max_accuracy_drop,
         max_phase_share_regression,
         max_matrix_passes_per_trace,
+        max_ilp_passes_per_trace,
         max_peak_rss_regression,
     })
 }
 
-/// The fused-sweep pass accounting from a manifest's counters: `(matrix
-/// passes, distinct traces swept)`. `None` when the counters are absent
-/// or the run swept no traces — the gate cannot judge a run that never
-/// exercised the fused sweep.
-fn matrix_pass_rate(m: &RunManifest) -> Option<(u64, u64)> {
-    let passes = *m.counters.get("replay.matrix_passes")?;
-    let traces = *m.counters.get("replay.matrix_traces")?;
+/// Parses a `--max-<kind>-passes-per-trace` value (at least 1).
+fn parse_per_trace(kind: &str, v: &str) -> Result<u64, String> {
+    v.parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("bad --max-{kind}-passes-per-trace value `{v}` (want >= 1)"))
+}
+
+/// A fused engine's pass accounting from a manifest's counters: `(passes,
+/// distinct traces)`. `None` when the counters are absent or no trace was
+/// fed — the gate cannot judge a run that never exercised the engine.
+fn pass_rate(m: &RunManifest, passes: &str, traces: &str) -> Option<(u64, u64)> {
+    let passes = *m.counters.get(passes)?;
+    let traces = *m.counters.get(traces)?;
     (traces > 0).then_some((passes, traces))
+}
+
+/// The sweep-fusion gate's reading: `(matrix passes, swept traces)`.
+fn matrix_pass_rate(m: &RunManifest) -> Option<(u64, u64)> {
+    pass_rate(m, "replay.matrix_passes", "replay.matrix_traces")
+}
+
+/// The ILP-fusion gate's reading: `(ILP passes, traces fed to ILP plans)`.
+fn ilp_pass_rate(m: &RunManifest) -> Option<(u64, u64)> {
+    pass_rate(m, "ilp.passes", "ilp.traces")
 }
 
 /// The best available peak-RSS reading from a manifest: the
@@ -488,6 +514,35 @@ fn main() -> ExitCode {
         }
     }
 
+    // ILP-fusion gate (opt-in via --max-ilp-passes-per-trace): every
+    // ILP plan over a trace must stay one replay.
+    if let Some(max_per_trace) = args.max_ilp_passes_per_trace {
+        match ilp_pass_rate(&current) {
+            Some((passes, traces)) => {
+                println!(
+                    "metrics-check: {passes} ILP passes over {traces} traces \
+                     (limit {max_per_trace} per trace)"
+                );
+                if passes > max_per_trace.saturating_mul(traces) {
+                    obs_error!(
+                        "the ILP machines replayed traces {passes} times for {traces} distinct \
+                         traces (limit {max_per_trace} per trace) — is something replaying \
+                         per machine again?"
+                    );
+                    failed = true;
+                }
+            }
+            None => {
+                obs_error!(
+                    "--max-ilp-passes-per-trace given but the current manifest records \
+                     no ilp.passes / ilp.traces counters (or fed no trace to an ILP plan) \
+                     — was the run an ILP experiment?"
+                );
+                return ExitCode::from(2);
+            }
+        }
+    }
+
     // Profile sample-share gate (opt-in via --max-phase-share-regression):
     // catches a phase quietly eating a bigger slice of the run even when
     // absolute wall time stays within its own gate.
@@ -777,6 +832,42 @@ mod tests {
         assert_eq!(matrix_pass_rate(&m), None);
         m.counters.insert("replay.matrix_traces".to_owned(), 9);
         assert_eq!(matrix_pass_rate(&m), Some((9, 9)));
+    }
+
+    #[test]
+    fn ilp_pass_gate_flag_and_counters() {
+        let a = parse_args([
+            "--manifest=m".to_owned(),
+            "--baseline=b".to_owned(),
+            "--max-ilp-passes-per-trace".to_owned(), // space-separated form
+            "1".to_owned(),
+        ])
+        .unwrap();
+        assert_eq!(a.max_ilp_passes_per_trace, Some(1));
+        let a = parse_args(["--manifest=m".to_owned(), "--baseline=b".to_owned()]).unwrap();
+        assert_eq!(a.max_ilp_passes_per_trace, None);
+        for bad in ["0", "lots"] {
+            assert!(parse_args([
+                "--manifest=m".to_owned(),
+                "--baseline=b".to_owned(),
+                format!("--max-ilp-passes-per-trace={bad}"),
+            ])
+            .is_err());
+        }
+
+        let mut m = RunManifest {
+            bin: "x".to_owned(),
+            ..RunManifest::default()
+        };
+        assert_eq!(ilp_pass_rate(&m), None);
+        m.counters.insert("ilp.passes".to_owned(), 63);
+        assert_eq!(ilp_pass_rate(&m), None);
+        m.counters.insert("ilp.traces".to_owned(), 0);
+        assert_eq!(ilp_pass_rate(&m), None);
+        m.counters.insert("ilp.traces".to_owned(), 9);
+        assert_eq!(ilp_pass_rate(&m), Some((63, 9)));
+        // The matrix counters are a separate reading.
+        assert_eq!(matrix_pass_rate(&m), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! - [`train_runs`] — how many training inputs the §4 stability result
 //!   needs.
 
-use vp_ilp::{BranchConfig, IlpConfig};
+use vp_ilp::{BranchConfig, IlpConfig, IlpResult};
 use vp_predictor::{ClassifierKind, PredictorConfig, PredictorStats, SatCounter, TableGeometry};
 use vp_profile::AlignedVectors;
 use vp_stats::metrics;
@@ -114,14 +114,18 @@ pub struct PenaltyRow {
 
 /// Sweeps the value-misprediction penalty for one workload.
 pub fn penalty(suite: &Suite, kind: WorkloadKind, penalties: &[u64]) -> Vec<PenaltyRow> {
-    let base = suite.ilp(kind, IlpConfig::paper_no_vp(), None);
     suite.par_map(penalties, |&p| {
-        let fsm = suite.ilp(kind, IlpConfig::paper_vp_fsm().with_penalty(p), None);
-        let prof = suite.ilp(
-            kind,
-            IlpConfig::paper_vp_profile().with_penalty(p),
-            Some(0.9),
-        );
+        // One ILP plan per row: baseline, VP + SC and VP + profiling share
+        // a single replay of the trace.
+        let machines = [
+            (IlpConfig::paper_no_vp(), None),
+            (IlpConfig::paper_vp_fsm().with_penalty(p), None),
+            (IlpConfig::paper_vp_profile().with_penalty(p), Some(0.9)),
+        ];
+        let [base, fsm, prof]: [IlpResult; 3] = suite
+            .ilp_plan(kind, &machines)
+            .try_into()
+            .expect("three machines");
         PenaltyRow {
             penalty: p,
             fsm_increase: fsm.ilp_increase_over(&base),
@@ -292,12 +296,17 @@ pub fn front_end(suite: &Suite, kinds: &[WorkloadKind]) -> Vec<FrontEndRow> {
         .flat_map(|&kind| fronts.iter().map(move |&front| (kind, front)))
         .collect();
     suite.par_map(&grid, |&(kind, (label, branch, bp))| {
-        let base = suite.ilp(kind, IlpConfig::paper_no_vp().with_branch(branch, bp), None);
-        let vp = suite.ilp(
-            kind,
-            IlpConfig::paper_vp_profile().with_branch(branch, bp),
-            Some(0.9),
-        );
+        let machines = [
+            (IlpConfig::paper_no_vp().with_branch(branch, bp), None),
+            (
+                IlpConfig::paper_vp_profile().with_branch(branch, bp),
+                Some(0.9),
+            ),
+        ];
+        let [base, vp]: [IlpResult; 2] = suite
+            .ilp_plan(kind, &machines)
+            .try_into()
+            .expect("two machines");
         FrontEndRow {
             kind,
             front_end: label,

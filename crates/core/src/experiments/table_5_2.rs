@@ -59,12 +59,21 @@ pub struct Table52 {
 /// Runs the experiment over the given workloads.
 pub fn run(suite: &Suite, kinds: &[WorkloadKind]) -> Table52 {
     let rows = suite.par_map(kinds, |&kind| {
-        let base = suite.ilp(kind, IlpConfig::paper_no_vp(), None);
-        let vp_fsm = suite.ilp(kind, IlpConfig::paper_vp_fsm(), None);
-        let vp_profile = ThresholdPolicy::PAPER_SWEEP
-            .iter()
-            .map(|&th| suite.ilp(kind, IlpConfig::paper_vp_profile(), Some(th)))
-            .collect();
+        // One plan per workload: the trace is replayed once for all seven
+        // machines.
+        let mut machines = vec![
+            (IlpConfig::paper_no_vp(), None),
+            (IlpConfig::paper_vp_fsm(), None),
+        ];
+        machines.extend(
+            ThresholdPolicy::PAPER_SWEEP
+                .iter()
+                .map(|&th| (IlpConfig::paper_vp_profile(), Some(th))),
+        );
+        let mut results = suite.ilp_plan(kind, &machines).into_iter();
+        let base = results.next().expect("base machine");
+        let vp_fsm = results.next().expect("VP + SC machine");
+        let vp_profile = results.collect();
         Row {
             kind,
             base,

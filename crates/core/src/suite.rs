@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
 use vp_compiler::{annotate, AnnotationSummary, ThresholdPolicy};
-use vp_ilp::{IlpAnalyzer, IlpConfig, IlpResult};
+use vp_ilp::{IlpConfig, IlpPlan, IlpResult};
 use vp_isa::Program;
 use vp_predictor::{AttributionTable, PredictorConfig, PredictorStats};
 use vp_profile::{merge, ProfileCollector, ProfileImage};
@@ -184,6 +184,10 @@ pub struct Suite {
     phase_images: Memo<WorkloadKind, (ProfileImage, ProfileImage)>,
     annotated: Memo<(WorkloadKind, u32), (Program, AnnotationSummary)>,
     sweep: SweepMemo,
+    /// Kinds whose reference trace has fed at least one ILP pass (drives
+    /// the `ilp.traces` counter, the denominator of the CI
+    /// `ilp passes per trace` gate).
+    ilp_traced: Mutex<HashSet<WorkloadKind>>,
 }
 
 impl Suite {
@@ -209,6 +213,7 @@ impl Suite {
             phase_images: Memo::new(),
             annotated: Memo::new(),
             sweep: SweepMemo::new(),
+            ilp_traced: Mutex::new(HashSet::new()),
         }
     }
 
@@ -402,6 +407,25 @@ impl Suite {
         }
     }
 
+    /// Resolves each request's threshold to its annotated reference
+    /// program and registers that program's directive table through `add`
+    /// (once per distinct threshold), returning each request's table.
+    fn directive_tables(
+        &self,
+        kind: WorkloadKind,
+        thresholds: impl Iterator<Item = Option<f64>>,
+        mut add: impl FnMut(&Program) -> usize,
+    ) -> Vec<usize> {
+        let mut table_of: HashMap<Option<u32>, usize> = HashMap::new();
+        thresholds
+            .map(|threshold| {
+                *table_of
+                    .entry(threshold.map(th_key))
+                    .or_insert_with(|| add(&self.reference_program(kind, threshold)))
+            })
+            .collect()
+    }
+
     /// Runs the reference input through a predictor configuration and
     /// returns the predictor statistics. `threshold` selects the annotated
     /// binary (profile-guided classification) or the bare one (hardware
@@ -570,26 +594,13 @@ impl Suite {
         kind: WorkloadKind,
         cells: &[(PredictorConfig, Option<f64>)],
     ) -> Vec<CellResult> {
-        // Resolve each distinct threshold's annotated program into a
-        // directive table of the plan (annotation/merge cost lands in
-        // their own spans, outside `predict`).
+        // Annotation/merge cost lands in their own spans, outside
+        // `predict`.
         let mut plan = SweepPlan::new();
-        let mut table_of: HashMap<Option<u32>, usize> = HashMap::new();
-        let mut plan_tables = Vec::with_capacity(cells.len());
-        for &(_, threshold) in cells {
-            let key = threshold.map(th_key);
-            let table = match table_of.get(&key) {
-                Some(&t) => t,
-                None => {
-                    let program = self.reference_program(kind, threshold);
-                    let t = plan.add_directives(&program);
-                    table_of.insert(key, t);
-                    t
-                }
-            };
-            plan_tables.push(table);
-        }
-        for (&(config, _), &table) in cells.iter().zip(&plan_tables) {
+        let tables = self.directive_tables(kind, cells.iter().map(|c| c.1), |program| {
+            plan.add_directives(program)
+        });
+        for (&(config, _), table) in cells.iter().zip(tables) {
             plan.add_cell(config, table);
         }
         {
@@ -653,9 +664,54 @@ impl Suite {
     }
 
     /// Replays the reference input through the abstract ILP machine.
+    /// `threshold` selects the annotated binary the value predictor reads
+    /// its directives from, as for [`Suite::predictor_stats`].
     pub fn ilp(&self, kind: WorkloadKind, config: IlpConfig, threshold: Option<f64>) -> IlpResult {
-        let program = self.reference_program(kind, threshold);
-        let mut analyzer = IlpAnalyzer::new(config);
+        self.ilp_plan(kind, &[(config, threshold)])
+            .pop()
+            .expect("one-machine plan returns one result")
+    }
+
+    /// [`Suite::ilp`] for many machines at once: every requested
+    /// `(config, threshold)` machine over `kind`'s reference trace, in
+    /// request order.
+    ///
+    /// The requests form one [`IlpPlan`], so the trace is replayed **once**
+    /// whatever the number of machines, and requests that would compute
+    /// the same schedule (equal configurations reading identical directive
+    /// tables) share one machine. Results are identical to per-machine
+    /// [`Suite::ilp`] calls.
+    pub fn ilp_plan(
+        &self,
+        kind: WorkloadKind,
+        machines: &[(IlpConfig, Option<f64>)],
+    ) -> Vec<IlpResult> {
+        if machines.is_empty() {
+            return Vec::new();
+        }
+        let mut plan = IlpPlan::new();
+        let tables = self.directive_tables(kind, machines.iter().map(|m| m.1), |program| {
+            plan.add_directives(program)
+        });
+        for ((config, _), table) in machines.iter().zip(tables) {
+            plan.add_machine(config.clone(), table);
+        }
+        if self
+            .ilp_traced
+            .lock()
+            .expect("ilp trace set poisoned")
+            .insert(kind)
+        {
+            vp_obs::counter("ilp.traces").add(1);
+        }
+        let mut bank = plan.into_bank();
+        vp_obs::counter("ilp.passes").add(1);
+        vp_obs::counter("ilp.machines_requested").add(bank.requests() as u64);
+        vp_obs::counter("ilp.machines_run").add(bank.machines() as u64);
+        // Directives never change execution: the bank reads each machine's
+        // annotation from its own table, so the bare program drives the
+        // replay.
+        let program = self.reference_program(kind, None);
         let _span = vp_obs::span("ilp");
         self.traces
             .replay_into(
@@ -663,10 +719,10 @@ impl Suite {
                 InputSet::reference(),
                 self.limits,
                 &program,
-                &mut analyzer,
+                &mut bank,
             )
             .unwrap_or_else(|e| panic!("{e}"));
-        analyzer.finish()
+        bank.finish()
     }
 }
 

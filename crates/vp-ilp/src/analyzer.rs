@@ -1,11 +1,11 @@
 //! The trace-driven dataflow analysis.
 
-use std::collections::HashMap;
-
-use vp_isa::{Reg, RegClass};
+use vp_isa::{Directive, Reg, RegClass};
 use vp_predictor::ValuePredictor;
 use vp_sim::{Retirement, Tracer};
 
+use crate::branch::BranchPredictor;
+use crate::slots::StoreSlots;
 use crate::{IlpConfig, IlpResult, SlidingWindow};
 
 const LATENCY: u64 = 1;
@@ -14,6 +14,9 @@ const LATENCY: u64 = 1;
 /// schedule each instruction would get on the paper's §5.3 machine.
 ///
 /// Use as a `vp-sim` [`Tracer`]; call [`IlpAnalyzer::finish`] afterwards.
+/// To run several configurations over one trace, submit them as one
+/// [`IlpPlan`](crate::IlpPlan) instead: its bank feeds every distinct
+/// machine from a single replay.
 ///
 /// # Examples
 ///
@@ -33,34 +36,80 @@ const LATENCY: u64 = 1;
 /// # }
 /// ```
 pub struct IlpAnalyzer {
-    config: IlpConfig,
-    predictor: Option<Box<dyn ValuePredictor>>,
-    branch: crate::branch::BranchPredictor,
-    window: SlidingWindow,
-    int_ready: [u64; vp_isa::reg::NUM_REGS],
-    fp_ready: [u64; vp_isa::reg::NUM_REGS],
-    mem_ready: HashMap<u64, u64>,
-    fetch_stall_until: u64,
-    branch_mispredictions: u64,
-    instructions: u64,
-    last_completion: u64,
+    machine: Machine,
+    stores: StoreSlots,
 }
 
 impl IlpAnalyzer {
     /// Creates an analyzer for the given machine configuration.
     #[must_use]
     pub fn new(config: IlpConfig) -> Self {
-        let predictor = config.predictor.as_ref().map(|c| c.build());
-        let window = SlidingWindow::new(config.window);
-        let branch = crate::branch::BranchPredictor::new(config.branch);
         IlpAnalyzer {
-            config,
-            predictor,
-            branch,
-            window,
+            machine: Machine::new(config),
+            stores: StoreSlots::new(),
+        }
+    }
+
+    /// Retires `ev` as if its instruction carried `directive`, whatever
+    /// directive the replayed program's text holds. One decoded event can
+    /// so drive machines that read different directive annotations.
+    #[inline]
+    pub fn retire_with(&mut self, ev: &Retirement<'_>, directive: Directive) {
+        let store_slot = ev.mem.and_then(|mem| self.stores.resolve(mem));
+        self.machine.step(ev, directive, store_slot);
+    }
+
+    /// Conditional branches mispredicted by the configured front end
+    /// (always 0 with the paper's perfect branch prediction).
+    #[must_use]
+    pub fn branch_mispredictions(&self) -> u64 {
+        self.machine.branch_mispredictions
+    }
+
+    /// Finishes the analysis and returns the result.
+    #[must_use]
+    pub fn finish(self) -> IlpResult {
+        self.machine.finish()
+    }
+}
+
+impl Tracer for IlpAnalyzer {
+    #[inline]
+    fn retire(&mut self, ev: &Retirement<'_>) {
+        self.retire_with(ev, ev.instr.directive);
+    }
+}
+
+/// The state of one abstract machine. Memory words are named by dense
+/// store slots resolved outside ([`StoreSlots`]), so machines that replay
+/// the same trace can share one address map.
+pub(crate) struct Machine {
+    penalty: u64,
+    branch_penalty: u64,
+    predictor: Option<Box<dyn ValuePredictor>>,
+    branch: BranchPredictor,
+    window: SlidingWindow,
+    int_ready: [u64; vp_isa::reg::NUM_REGS],
+    fp_ready: [u64; vp_isa::reg::NUM_REGS],
+    /// Completion cycle of the latest store to each store slot.
+    store_ready: Vec<u64>,
+    fetch_stall_until: u64,
+    branch_mispredictions: u64,
+    instructions: u64,
+    last_completion: u64,
+}
+
+impl Machine {
+    pub(crate) fn new(config: IlpConfig) -> Self {
+        Machine {
+            penalty: config.penalty,
+            branch_penalty: config.branch_penalty,
+            predictor: config.predictor.as_ref().map(|c| c.build()),
+            branch: BranchPredictor::new(config.branch),
+            window: SlidingWindow::new(config.window),
             int_ready: [0; vp_isa::reg::NUM_REGS],
             fp_ready: [0; vp_isa::reg::NUM_REGS],
-            mem_ready: HashMap::new(),
+            store_ready: Vec::new(),
             fetch_stall_until: 0,
             branch_mispredictions: 0,
             instructions: 0,
@@ -68,16 +117,7 @@ impl IlpAnalyzer {
         }
     }
 
-    /// Conditional branches mispredicted by the configured front end
-    /// (always 0 with the paper's perfect branch prediction).
-    #[must_use]
-    pub fn branch_mispredictions(&self) -> u64 {
-        self.branch_mispredictions
-    }
-
-    /// Finishes the analysis and returns the result.
-    #[must_use]
-    pub fn finish(self) -> IlpResult {
+    pub(crate) fn finish(self) -> IlpResult {
         IlpResult {
             instructions: self.instructions,
             cycles: self.last_completion,
@@ -101,10 +141,17 @@ impl IlpAnalyzer {
             RegClass::Fp => self.fp_ready[usize::from(reg)] = cycle,
         }
     }
-}
 
-impl Tracer for IlpAnalyzer {
-    fn retire(&mut self, ev: &Retirement<'_>) {
+    /// Schedules one retired instruction. `directive` is what the value
+    /// predictor reads for it; `store_slot` is the slot of the memory
+    /// word it touches, if a store has ever written that word.
+    #[inline]
+    pub(crate) fn step(
+        &mut self,
+        ev: &Retirement<'_>,
+        directive: Directive,
+        store_slot: Option<usize>,
+    ) {
         self.instructions += 1;
 
         // 1. Dispatch: bounded by window occupancy and — when the perfect
@@ -118,12 +165,10 @@ impl Tracer for IlpAnalyzer {
         for src in ev.instr.sources().into_iter().flatten() {
             operands = operands.max(self.reg_ready(src.0, src.1));
         }
-        if let Some(mem) = ev.mem {
-            if !mem.store {
-                if let Some(&t) = self.mem_ready.get(&mem.addr) {
-                    operands = operands.max(t);
-                }
-            }
+        let store = ev.mem.is_some_and(|mem| mem.store);
+        if let (Some(slot), false) = (store_slot, store) {
+            // The store that allocated the slot grew this column.
+            operands = operands.max(self.store_ready[slot]);
         }
         let completion = operands + LATENCY;
 
@@ -132,13 +177,13 @@ impl Tracer for IlpAnalyzer {
         if let Some((class, reg, actual)) = ev.dest {
             let ready = match &mut self.predictor {
                 Some(p) => {
-                    let access = p.access(ev.addr, ev.instr.directive, actual);
+                    let access = p.access(ev.addr, directive, actual);
                     if access.speculated_correct() {
                         // Dependents read the predicted value as soon as this
                         // instruction occupies the window.
                         dispatch
                     } else if access.speculated_incorrect() {
-                        completion + self.config.penalty
+                        completion + self.penalty
                     } else {
                         completion
                     }
@@ -149,10 +194,11 @@ impl Tracer for IlpAnalyzer {
         }
 
         // 4. Memory effect.
-        if let Some(mem) = ev.mem {
-            if mem.store {
-                self.mem_ready.insert(mem.addr, completion);
+        if let (Some(slot), true) = (store_slot, store) {
+            if slot >= self.store_ready.len() {
+                self.store_ready.resize(slot + 1, 0);
             }
+            self.store_ready[slot] = completion;
         }
 
         // 5. Branch resolution: a mispredicted conditional branch redirects
@@ -160,9 +206,8 @@ impl Tracer for IlpAnalyzer {
         if let Some(taken) = ev.taken {
             if !self.branch.predict_and_update(ev.addr, taken) {
                 self.branch_mispredictions += 1;
-                self.fetch_stall_until = self
-                    .fetch_stall_until
-                    .max(completion + self.config.branch_penalty);
+                self.fetch_stall_until =
+                    self.fetch_stall_until.max(completion + self.branch_penalty);
             }
         }
 

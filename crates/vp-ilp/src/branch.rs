@@ -12,7 +12,7 @@
 use vp_isa::InstrAddr;
 
 /// Direction-predictor configuration for the abstract machine's front end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchConfig {
     /// The paper's assumption: every branch is predicted correctly.
     Perfect,

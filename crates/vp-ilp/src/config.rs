@@ -8,7 +8,7 @@ use crate::branch::BranchConfig;
 ///
 /// [`IlpConfig::paper_no_vp`] and the `paper_vp_*` constructors produce
 /// exactly the §5.3 machines.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IlpConfig {
     /// Instruction-window size in entries (the paper uses 40).
     pub window: usize,

@@ -23,7 +23,9 @@
 //!
 //! The resulting ILP (instructions / cycles) reproduces Table 5.2's
 //! comparisons between no-VP, VP + saturating counters, and VP + profiling
-//! at each threshold.
+//! at each threshold. Those comparisons run many machines over one trace;
+//! an [`IlpPlan`] dedupes them and its [`IlpBank`] schedules every
+//! distinct machine from a single replay.
 //!
 //! ## Example
 //!
@@ -47,12 +49,15 @@ pub mod analyzer;
 pub mod branch;
 pub mod config;
 pub mod critical;
+pub mod plan;
 pub mod result;
+mod slots;
 pub mod window;
 
 pub use analyzer::IlpAnalyzer;
 pub use branch::{BranchConfig, BranchPredictor};
 pub use config::IlpConfig;
 pub use critical::{CriticalPathAnalyzer, CriticalityReport};
+pub use plan::{IlpBank, IlpPlan};
 pub use result::IlpResult;
 pub use window::SlidingWindow;

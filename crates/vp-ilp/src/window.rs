@@ -1,13 +1,15 @@
 //! The finite instruction window.
 
-use std::collections::VecDeque;
-
 /// A sliding window over instruction completion times.
 ///
 /// Models a `capacity`-entry instruction window in a limit study:
 /// instruction *i* cannot dispatch until instruction *i − capacity* has
 /// completed, i.e. the dispatch lower bound is the completion cycle of the
 /// instruction whose slot is being reused.
+///
+/// The window is a fixed ring of `capacity` completion cycles. Slots that
+/// no instruction has used yet hold cycle 0, which constrains nothing, so
+/// the ring needs no occupancy count.
 ///
 /// # Examples
 ///
@@ -21,8 +23,8 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
-    capacity: usize,
-    completions: VecDeque<u64>,
+    completions: Box<[u64]>,
+    next: usize,
 }
 
 impl SlidingWindow {
@@ -35,40 +37,40 @@ impl SlidingWindow {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
         SlidingWindow {
-            capacity,
-            completions: VecDeque::with_capacity(capacity),
+            completions: vec![0; capacity].into_boxed_slice(),
+            next: 0,
         }
     }
 
     /// The window capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.completions.len()
     }
 
     /// The earliest cycle at which the next instruction may dispatch, given
     /// window occupancy alone.
+    #[inline]
     #[must_use]
     pub fn dispatch_bound(&self) -> u64 {
-        if self.completions.len() < self.capacity {
-            0
-        } else {
-            *self.completions.front().expect("window is full")
-        }
+        self.completions[self.next]
     }
 
     /// Records the completion cycle of the instruction just dispatched,
     /// sliding the window forward.
+    #[inline]
     pub fn push_completion(&mut self, completion: u64) {
-        if self.completions.len() == self.capacity {
-            self.completions.pop_front();
+        self.completions[self.next] = completion;
+        self.next += 1;
+        if self.next == self.completions.len() {
+            self.next = 0;
         }
-        self.completions.push_back(completion);
     }
 
     /// Empties the window.
     pub fn clear(&mut self) {
-        self.completions.clear();
+        self.completions.fill(0);
+        self.next = 0;
     }
 }
 
@@ -101,6 +103,20 @@ mod tests {
         let mut w = SlidingWindow::new(1);
         w.push_completion(3);
         assert_eq!(w.dispatch_bound(), 3);
+    }
+
+    #[test]
+    fn clear_empties_the_ring() {
+        let mut w = SlidingWindow::new(2);
+        w.push_completion(9);
+        w.push_completion(9);
+        w.clear();
+        assert_eq!(w.dispatch_bound(), 0);
+        w.push_completion(3);
+        assert_eq!(w.dispatch_bound(), 0);
+        w.push_completion(4);
+        assert_eq!(w.dispatch_bound(), 3);
+        assert_eq!(w.capacity(), 2);
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! The profiling tracer: emulates both value predictors during a run.
 
-use std::collections::HashMap;
-
 use vp_isa::InstrAddr;
 use vp_predictor::{LastValueEntry, PredEntry, StrideEntry};
 use vp_sim::{Retirement, Tracer};
 
-use crate::{ProfileImage, VpCategory};
+use crate::{InstrProfile, ProfileImage, VpCategory};
 
+/// Everything the collector tracks for one static instruction: both
+/// predictor cells and the running profile counts.
 #[derive(Debug, Clone)]
-struct PerInstr {
+struct Slot {
     stride: StrideEntry,
     last_value: LastValueEntry,
+    profile: InstrProfile,
 }
 
 /// A `vp-sim` [`Tracer`] that builds a [`ProfileImage`].
@@ -22,14 +23,21 @@ struct PerInstr {
 /// measure for each instruction its prediction accuracy" — emulating both
 /// costs nothing and yields Table 2.1 for free).
 ///
+/// State is one dense slot per text address (indexed by
+/// [`InstrAddr::index`]), so an event costs one bounds-checked index, not
+/// a map lookup. Records are written into the image(s) once, when the
+/// collector finishes.
+///
 /// An optional *phase split* divides the image in two at a static address
 /// boundary, reproducing the paper's FP-benchmark split into an
-/// initialization phase and a computation phase.
+/// initialization phase and a computation phase. The split is a function
+/// of the address alone, so assigning each finished record to its image
+/// at the end is exactly what assigning every event as it happened would
+/// give.
 #[derive(Debug, Clone)]
 pub struct ProfileCollector {
-    state: HashMap<InstrAddr, PerInstr>,
-    image: ProfileImage,
-    comp_image: Option<ProfileImage>,
+    slots: Vec<Option<Slot>>,
+    name: String,
     split: Option<InstrAddr>,
 }
 
@@ -38,9 +46,8 @@ impl ProfileCollector {
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
         ProfileCollector {
-            state: HashMap::new(),
-            image: ProfileImage::new(name),
-            comp_image: None,
+            slots: Vec::new(),
+            name: name.into(),
             split: None,
         }
     }
@@ -51,12 +58,9 @@ impl ProfileCollector {
     /// does not reset between them).
     #[must_use]
     pub fn with_phase_split(name: impl Into<String>, split: InstrAddr) -> Self {
-        let name = name.into();
         ProfileCollector {
-            state: HashMap::new(),
-            comp_image: Some(ProfileImage::new(format!("{name}/comp"))),
-            image: ProfileImage::new(format!("{name}/init")),
             split: Some(split),
+            ..ProfileCollector::new(name)
         }
     }
 
@@ -69,10 +73,14 @@ impl ProfileCollector {
     #[must_use]
     pub fn into_image(self) -> ProfileImage {
         assert!(
-            self.comp_image.is_none(),
+            self.split.is_none(),
             "phase-split collector: use into_phase_images"
         );
-        self.image
+        let mut image = ProfileImage::new(self.name);
+        for (addr, profile) in records(self.slots) {
+            image.insert(addr, profile);
+        }
+        image
     }
 
     /// Finishes a phase-split collection, returning `(init, computation)`.
@@ -82,54 +90,56 @@ impl ProfileCollector {
     /// Panics if the collector was not built with a phase split.
     #[must_use]
     pub fn into_phase_images(self) -> (ProfileImage, ProfileImage) {
-        let comp = self.comp_image.expect("collector has no phase split");
-        (self.image, comp)
-    }
-
-    fn image_for(&mut self, addr: InstrAddr) -> &mut ProfileImage {
-        match (self.split, &mut self.comp_image) {
-            (Some(split), Some(comp)) if addr >= split => comp,
-            _ => &mut self.image,
+        let split = self.split.expect("collector has no phase split");
+        let mut init = ProfileImage::new(format!("{}/init", self.name));
+        let mut comp = ProfileImage::new(format!("{}/comp", self.name));
+        for (addr, profile) in records(self.slots) {
+            let image = if addr >= split { &mut comp } else { &mut init };
+            image.insert(addr, profile);
         }
+        (init, comp)
     }
 }
 
+/// The finished records, in address order.
+fn records(slots: Vec<Option<Slot>>) -> impl Iterator<Item = (InstrAddr, InstrProfile)> {
+    slots.into_iter().enumerate().filter_map(|(i, slot)| {
+        let addr = InstrAddr::new(u32::try_from(i).expect("slot index is a text address"));
+        slot.map(|s| (addr, s.profile))
+    })
+}
+
 impl Tracer for ProfileCollector {
+    #[inline]
     fn retire(&mut self, ev: &Retirement<'_>) {
         let Some((_, _, value)) = ev.dest else { return };
         let Some(category) = VpCategory::from_op_category(ev.instr.op.category()) else {
             return;
         };
-        let addr = ev.addr;
+        let index = ev.addr.index() as usize;
+        if index >= self.slots.len() {
+            self.slots.resize_with(index + 1, || None);
+        }
 
         // Evaluate both predictors before training; the first occurrence
         // allocates and counts as an (unavoidably) incorrect prediction.
-        let (stride_ok, nonzero, lv_ok) = match self.state.get_mut(&addr) {
-            Some(per) => {
-                let stride_ok = per.stride.predict() == value;
-                let nonzero = per.stride.nonzero_stride();
-                let lv_ok = per.last_value.predict() == value;
-                per.stride.train(value);
-                per.last_value.train(value);
-                (stride_ok, nonzero, lv_ok)
-            }
-            None => {
-                self.state.insert(
-                    addr,
-                    PerInstr {
-                        stride: StrideEntry::allocate(value),
-                        last_value: LastValueEntry::allocate(value),
-                    },
-                );
-                (false, false, false)
-            }
-        };
-
-        let rec = self.image_for(addr).entry(addr, category);
+        let slot = self.slots[index].get_or_insert_with(|| Slot {
+            stride: StrideEntry::allocate(value),
+            last_value: LastValueEntry::allocate(value),
+            profile: InstrProfile::new(category),
+        });
+        let rec = &mut slot.profile;
+        if rec.execs > 0 {
+            let stride_ok = slot.stride.predict() == value;
+            let nonzero = slot.stride.nonzero_stride();
+            let lv_ok = slot.last_value.predict() == value;
+            slot.stride.train(value);
+            slot.last_value.train(value);
+            rec.stride_correct += u64::from(stride_ok);
+            rec.nonzero_stride_correct += u64::from(stride_ok && nonzero);
+            rec.last_value_correct += u64::from(lv_ok);
+        }
         rec.execs += 1;
-        rec.stride_correct += u64::from(stride_ok);
-        rec.nonzero_stride_correct += u64::from(stride_ok && nonzero);
-        rec.last_value_correct += u64::from(lv_ok);
     }
 }
 
