@@ -18,8 +18,10 @@
 //!    one: identical [`PredictorStats`] and occupancy.
 //! 4. **Attribution oracle** — the attributed replay
 //!    ([`ReplayRequest::attribution`]) must leave the stats untouched
-//!    (observation-only), produce a bit-identical per-PC
-//!    [`vp_predictor::AttributionTable`] at any shard/job count, and its
+//!    (observation-only), and at 1 and at 3 shards its per-PC
+//!    [`AttributionTable`] must equal the per-event reference: every
+//!    [`vp_predictor::Access`] the directly driven predictor of stage
+//!    3(a) returns, folded in with [`AttributionTable::observe`]. Its
 //!    totals must reconcile *exactly* with the [`PredictorStats`]
 //!    (every access accounted, every raw miss charged to one cause).
 //! 5. **Matrix oracle** — the fused sweep ([`ReplayRequest`] over the
@@ -42,7 +44,8 @@
 //!    ([`ReplayRequest::stream`]), which re-simulates the program and
 //!    predicts concurrently without a resident trace, must reproduce the
 //!    batch grid bit-identically at every tested shard × block-pool
-//!    combination, including attribution tables.
+//!    combination, including attribution tables, which must also equal
+//!    the per-event reference.
 //!
 //! Any mismatch is returned as a typed [`Divergence`]; `Ok` carries the
 //! captured trace so the fuzz loop can fold it into coverage.
@@ -53,7 +56,9 @@ use std::fmt;
 use provp_core::{ReplayRequest, SweepPlan};
 use vp_ilp::{BranchConfig, IlpAnalyzer, IlpConfig, IlpPlan, IlpResult};
 use vp_isa::{Directive, InstrAddr, Program, Reg, RegClass};
-use vp_predictor::{ClassifierKind, PredictorConfig, PredictorStats, TableGeometry};
+use vp_predictor::{
+    AttributionTable, ClassifierKind, PredictorConfig, PredictorStats, TableGeometry,
+};
 use vp_profile::{ProfileCollector, ProfileImage};
 use vp_sim::record::{first_divergence, TraceDivergence, TraceRecorder};
 use vp_sim::{runner, Machine, RunLimits, Trace, Tracer};
@@ -550,19 +555,13 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
     for config in oracle_configs() {
         let (ref_stats, ref_occ) = ref_predict(&directives, &values, &config);
 
-        // (a) the real predictor, fed directly.
-        let mut direct = config.build();
-        for &(addr, value) in &values {
-            let d = directives
-                .get(addr.index() as usize)
-                .copied()
-                .unwrap_or(Directive::None);
-            direct.access(addr, d, value);
-        }
+        // (a) the real predictor, fed directly; its per-event accesses
+        // also build the attribution reference for stage 4.
+        let (direct_stats, direct_occ, ref_table) = direct_replay(&config, &directives, &values);
         check_predictor(
             &config,
             "direct",
-            (*direct.stats(), direct.occupancy()),
+            (direct_stats, direct_occ),
             (ref_stats, ref_occ),
         )?;
 
@@ -617,6 +616,11 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         seq_table
             .reconcile(&seq_out.stats)
             .map_err(|e| attr_err(format!("totals fail to reconcile with stats: {e}")))?;
+        if seq_table != ref_table {
+            return Err(attr_err(
+                "per-PC table differs from the per-event reference".into(),
+            ));
+        }
         let (par_out, par_table) = attributed(3, 2)
             .map_err(|e| attr_err(format!("sharded attributed replay failed: {e}")))?;
         if par_out.stats != seq_out.stats {
@@ -624,9 +628,9 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
                 "sharded attributed replay changed the stats".into(),
             ));
         }
-        if par_table != seq_table {
+        if par_table != ref_table {
             return Err(attr_err(
-                "per-PC table differs between 1 and 3 shards".into(),
+                "per-PC table at 3 shards differs from the per-event reference".into(),
             ));
         }
     }
@@ -820,9 +824,44 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
                 "attribution table differs between streamed and batch replay".into(),
             ));
         }
+        let (config, _, cell_program) = matrix_cells[i];
+        let cell_directives: Vec<Directive> = cell_program
+            .text()
+            .iter()
+            .map(|ins| ins.directive)
+            .collect();
+        let (_, _, ref_table) = direct_replay(&config, &cell_directives, &values);
+        if s.attribution.as_ref() != Some(&ref_table) {
+            return Err(Divergence::Attribution {
+                label: cell_label(i),
+                detail: "streamed per-PC table differs from the per-event reference".into(),
+            });
+        }
     }
 
     Ok(trace)
+}
+
+/// Feeds `values` to a fresh `config` predictor one event at a time and
+/// folds every returned [`vp_predictor::Access`] into an
+/// [`AttributionTable`]: the per-event reference that the block-fused
+/// attributed replay must reproduce.
+fn direct_replay(
+    config: &PredictorConfig,
+    directives: &[Directive],
+    values: &[(InstrAddr, u64)],
+) -> (PredictorStats, usize, AttributionTable) {
+    let mut direct = config.build();
+    let mut table = AttributionTable::new();
+    for &(addr, value) in values {
+        let d = directives
+            .get(addr.index() as usize)
+            .copied()
+            .unwrap_or(Directive::None);
+        let access = direct.access(addr, d, value);
+        table.observe(addr, d, &access, value);
+    }
+    (*direct.stats(), direct.occupancy(), table)
 }
 
 fn check_predictor(
