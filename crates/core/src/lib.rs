@@ -37,11 +37,9 @@ pub mod trace_store;
 pub use exec::parallel_map;
 pub use harness::PredictorTracer;
 pub use pipeline::{PipelineConfig, PipelineError, PipelineOutcome, ProfileGuidedPipeline};
-#[allow(deprecated)]
 pub use replay::{
-    auto_shards, replay_matrix, replay_matrix_attributed, replay_predictor,
-    replay_predictor_attributed, MatrixCell, ReplayCellOutcome, ReplayOutcome, ReplayRequest,
-    ReplayResponse, ReplaySource, SweepPlan,
+    auto_shards, MatrixCell, ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse,
+    ReplaySource, SweepPlan,
 };
 pub use suite::Suite;
 pub use trace_store::{TraceError, TraceKey, TraceStore, TraceStoreStats};

@@ -24,12 +24,15 @@
 //! headline figure of the paper is a sweep — several predictor
 //! configurations × several profiling thresholds over the *same* trace —
 //! and replaying per cell scans the identical value stream `cells` times.
-//! The fused engine streams the trace once, resolves each distinct
-//! directive annotation's per-PC row once per block, and feeds the block
-//! to a bank of predictors ([`vp_predictor::ValuePredictor::access_batch`]),
-//! sharding by the *joint* state-partition key (gcd of the cells' moduli)
-//! so every cell's grid entry stays bit-identical to its sequential
-//! per-cell replay.
+//! The fused kernel (`MatrixScanner`) streams the trace once, resolves
+//! each distinct directive annotation's per-PC row once per block, and
+//! feeds the block to a bank of predictors
+//! ([`vp_predictor::ValuePredictor::access_batch`]), sharding by the
+//! *joint* state-partition key (gcd of the cells' moduli) so every cell's
+//! grid entry stays bit-identical to its sequential per-cell replay.
+//! Per-PC misprediction attribution rides on the same kernel: the block
+//! call folds each access outcome into a per-cell table as it goes, and
+//! never changes the stats.
 //!
 //! ## Entry point
 //!
@@ -38,10 +41,9 @@
 //! [`ReplayRequest::stream`] to simulate and predict concurrently without
 //! ever materialising the trace — see [`stream`]), describe the cells
 //! ([`ReplayRequest::plan`] / [`ReplayRequest::single`]), and [`run`]
-//! it. The four pre-builder entry points (`replay_predictor`,
-//! `replay_predictor_attributed`, `replay_matrix`,
-//! `replay_matrix_attributed`) survive as thin deprecated wrappers; see
-//! DESIGN.md for the migration table.
+//! it. Every run is one pipeline — dedupe the cells, scan each shard,
+//! merge the shards, expand to plan order — and the source only decides
+//! where each shard's value events come from.
 //!
 //! [`run`]: ReplayRequest::run
 
@@ -158,11 +160,6 @@ impl SweepPlan {
         &self.cells
     }
 
-    /// The registered directive tables, in registration order.
-    pub(crate) fn tables(&self) -> &[Vec<Directive>] {
-        &self.tables
-    }
-
     /// Whether the plan has no cells.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -185,7 +182,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// state in that cell (`a ≡ b mod m`) also share a shard (`a ≡ b mod g`);
 /// infinite cells keep purely per-address state, which any function of the
 /// address respects. `None` (an all-infinite plan) shards by raw address.
-pub(crate) fn joint_shard_modulus(cells: &[MatrixCell]) -> Option<u64> {
+fn joint_shard_modulus(cells: &[MatrixCell]) -> Option<u64> {
     let mut joint: Option<u64> = None;
     for cell in cells {
         if let Some(m) = cell.config.shard_modulus() {
@@ -200,7 +197,7 @@ pub(crate) fn joint_shard_modulus(cells: &[MatrixCell]) -> Option<u64> {
 
 /// Dedupes the plan's cells: returns the distinct cells (the predictor
 /// bank's slots) and, per request cell, the slot it maps to.
-pub(crate) fn dedupe_cells(cells: &[MatrixCell]) -> (Vec<MatrixCell>, Vec<usize>) {
+fn dedupe_cells(cells: &[MatrixCell]) -> (Vec<MatrixCell>, Vec<usize>) {
     let mut slots = Vec::new();
     let mut slot_of = Vec::with_capacity(cells.len());
     let mut index: HashMap<MatrixCell, usize> = HashMap::new();
@@ -222,19 +219,30 @@ fn used_tables(slots: &[MatrixCell]) -> Vec<usize> {
     used
 }
 
+/// One shard's result for one predictor-bank slot: merged stats, table
+/// occupancy and, when attribution was requested, the per-PC table.
+pub(crate) type SlotResult = (PredictorStats, usize, Option<AttributionTable>);
+
 /// The push-based fused kernel: accumulates one shard's value events into
 /// [`MATRIX_BLOCK`]-sized scratch columns, resolves each full block's
 /// directive row once per distinct annotation and feeds the block to
 /// every predictor in the bank via [`ValuePredictor::access_batch`] (one
 /// virtual call per block per cell, statically dispatched inside).
 ///
-/// Both the batch scan (an iterator drained into `push`) and the
-/// streaming consumers ([`stream`]) drive this same kernel, so their
-/// per-event instruction streams — and therefore their results — cannot
-/// drift apart: the block boundaries a consumer happens to deliver never
-/// matter, only the accumulated [`MATRIX_BLOCK`] chunking here does.
-pub(crate) struct MatrixScanner<'p> {
+/// With attribution on, each cell's `access_batch` also folds every
+/// access outcome into that cell's [`AttributionTable`], in slice order.
+/// Every cell still sees its events in trace order, and a PC's shadow
+/// history depends only on that PC's own accesses, so the tables equal an
+/// event-at-a-time replay's.
+///
+/// Both the batch scan and the streaming consumers ([`stream`]) drive
+/// this same kernel, so their per-event instruction streams — and
+/// therefore their results — cannot drift apart: the block boundaries a
+/// consumer happens to deliver never matter, only the accumulated
+/// [`MATRIX_BLOCK`] chunking here does.
+struct MatrixScanner<'p> {
     banks: Vec<Box<dyn ValuePredictor>>,
+    attributions: Option<Vec<AttributionTable>>,
     tables: &'p [Vec<Directive>],
     slots: &'p [MatrixCell],
     used: Vec<usize>,
@@ -244,9 +252,11 @@ pub(crate) struct MatrixScanner<'p> {
 }
 
 impl<'p> MatrixScanner<'p> {
-    pub(crate) fn new(tables: &'p [Vec<Directive>], slots: &'p [MatrixCell]) -> Self {
+    fn new(tables: &'p [Vec<Directive>], slots: &'p [MatrixCell], attribution: bool) -> Self {
         MatrixScanner {
             banks: slots.iter().map(|c| c.config.build()).collect(),
+            attributions: attribution
+                .then(|| slots.iter().map(|_| AttributionTable::new()).collect()),
             tables,
             slots,
             used: used_tables(slots),
@@ -259,7 +269,7 @@ impl<'p> MatrixScanner<'p> {
         }
     }
 
-    pub(crate) fn push(&mut self, addr: InstrAddr, value: u64) -> io::Result<()> {
+    fn push(&mut self, addr: InstrAddr, value: u64) -> io::Result<()> {
         self.addrs.push(addr);
         self.values.push(value);
         if self.addrs.len() == MATRIX_BLOCK {
@@ -284,252 +294,125 @@ impl<'p> MatrixScanner<'p> {
                 );
             }
         }
-        for (bank, cell) in self.banks.iter_mut().zip(self.slots) {
-            bank.access_batch(&self.addrs, &self.rows[cell.directives], &self.values);
+        for (i, (bank, cell)) in self.banks.iter_mut().zip(self.slots).enumerate() {
+            let table = self.attributions.as_mut().map(|tables| &mut tables[i]);
+            bank.access_batch(
+                &self.addrs,
+                &self.rows[cell.directives],
+                &self.values,
+                table,
+            );
         }
         self.addrs.clear();
         self.values.clear();
         Ok(())
     }
 
-    pub(crate) fn finish(mut self) -> io::Result<Vec<(PredictorStats, usize)>> {
+    fn finish(mut self) -> io::Result<Vec<SlotResult>> {
         self.flush()?;
+        let mut attributions = self.attributions.map(Vec::into_iter);
         Ok(self
             .banks
             .iter()
-            .map(|b| (*b.stats(), b.occupancy()))
+            .map(|b| {
+                let table = attributions.as_mut().and_then(Iterator::next);
+                (*b.stats(), b.occupancy(), table)
+            })
             .collect())
     }
 }
 
-/// [`MatrixScanner`] with per-access attribution observation. Attribution
-/// consumes each access outcome, so this variant runs event-at-a-time —
-/// it exists to keep `--attribution` runs on the fused path (one trace
-/// scan) without perturbing the plain kernel.
-pub(crate) struct MatrixScannerAttributed<'p> {
-    banks: Vec<Box<dyn ValuePredictor>>,
-    attributions: Vec<AttributionTable>,
+/// One fused pass over one trace, shared by every shard: the plan's
+/// directive tables, the deduped predictor-bank slots, their joint shard
+/// key and whether to attribute. The batch and stream sources differ only
+/// in how they produce each shard's event iterator for [`FusedPass::scan`].
+pub(crate) struct FusedPass<'p> {
     tables: &'p [Vec<Directive>],
     slots: &'p [MatrixCell],
-    used: Vec<usize>,
-    dirs: Vec<Directive>,
+    modulus: Option<u64>,
+    attribution: bool,
 }
 
-impl<'p> MatrixScannerAttributed<'p> {
-    pub(crate) fn new(tables: &'p [Vec<Directive>], slots: &'p [MatrixCell]) -> Self {
-        MatrixScannerAttributed {
-            banks: slots.iter().map(|c| c.config.build()).collect(),
-            attributions: slots.iter().map(|_| AttributionTable::new()).collect(),
-            tables,
-            slots,
-            used: used_tables(slots),
-            dirs: vec![Directive::None; tables.len()],
+impl FusedPass<'_> {
+    /// The PC-shard key of `addr`: its index modulo the joint modulus
+    /// (see [`joint_shard_modulus`]), or the raw index for an
+    /// all-infinite plan.
+    pub(crate) fn shard_key(&self, addr: InstrAddr) -> u64 {
+        let index = u64::from(addr.index());
+        match self.modulus {
+            Some(g) => index % g,
+            None => index,
         }
     }
 
-    pub(crate) fn push(&mut self, addr: InstrAddr, value: u64) -> io::Result<()> {
-        for &t in &self.used {
-            self.dirs[t] = *self.tables[t]
-                .get(addr.index() as usize)
-                .ok_or_else(|| outside_text(addr))?;
+    /// Drains one shard's `events` through a [`MatrixScanner`] and returns
+    /// one result per slot.
+    pub(crate) fn scan<I>(&self, events: I) -> io::Result<Vec<SlotResult>>
+    where
+        I: Iterator<Item = (InstrAddr, u64)>,
+    {
+        let mut scanner = MatrixScanner::new(self.tables, self.slots, self.attribution);
+        for (addr, value) in events {
+            scanner.push(addr, value)?;
         }
-        for ((bank, cell), table) in self
-            .banks
-            .iter_mut()
-            .zip(self.slots)
-            .zip(self.attributions.iter_mut())
-        {
-            let directive = self.dirs[cell.directives];
-            let access = bank.access(addr, directive, value);
-            table.observe(addr, directive, &access, value);
+        scanner.finish()
+    }
+}
+
+/// Folds the per-shard results slot by slot. Shards own disjoint state
+/// partitions, so stats and occupancy add and the tables' PCs are
+/// disjoint.
+fn merge_shards(parts: Vec<Vec<SlotResult>>) -> Vec<SlotResult> {
+    let mut parts = parts.into_iter();
+    let mut merged = parts.next().unwrap_or_default();
+    for part in parts {
+        for (acc, (stats, occupancy, table)) in merged.iter_mut().zip(part) {
+            acc.0.merge(&stats);
+            acc.1 += occupancy;
+            if let (Some(acc), Some(table)) = (&mut acc.2, table) {
+                acc.merge(&table);
+            }
         }
-        Ok(())
     }
-
-    pub(crate) fn finish(self) -> io::Result<Vec<(PredictorStats, usize, AttributionTable)>> {
-        Ok(self
-            .banks
-            .iter()
-            .zip(self.attributions)
-            .map(|(b, t)| (*b.stats(), b.occupancy(), t))
-            .collect())
-    }
+    merged
 }
 
-/// Drains `events` through a [`MatrixScanner`].
-fn matrix_scan<I>(
-    events: I,
-    tables: &[Vec<Directive>],
-    slots: &[MatrixCell],
-) -> io::Result<Vec<(PredictorStats, usize)>>
-where
-    I: Iterator<Item = (InstrAddr, u64)>,
-{
-    let mut scanner = MatrixScanner::new(tables, slots);
-    for (addr, value) in events {
-        scanner.push(addr, value)?;
+/// The batch source: scans a resident trace under a `matrix` span. One
+/// shard reads the zero-copy value-event column directly; more shards
+/// scan PC-partitioned views of it on the worker pool.
+fn batch_shards(
+    trace: &Trace,
+    pass: &FusedPass<'_>,
+    shards: usize,
+    jobs: usize,
+) -> io::Result<Vec<Vec<SlotResult>>> {
+    let _span = vp_obs::span("matrix");
+    let cols = trace.columns();
+    if shards == 1 {
+        let per_slot = pass.scan(cols.value_events())?;
+        vp_obs::counter("replay.shards").add(1);
+        return Ok(vec![per_slot]);
     }
-    scanner.finish()
-}
 
-/// Drains `events` through a [`MatrixScannerAttributed`].
-fn matrix_scan_attributed<I>(
-    events: I,
-    tables: &[Vec<Directive>],
-    slots: &[MatrixCell],
-) -> io::Result<Vec<(PredictorStats, usize, AttributionTable)>>
-where
-    I: Iterator<Item = (InstrAddr, u64)>,
-{
-    let mut scanner = MatrixScannerAttributed::new(tables, slots);
-    for (addr, value) in events {
-        scanner.push(addr, value)?;
+    let views = cols.shard_by_pc(shards, |addr| pass.shard_key(addr));
+    let parts = parallel_map(jobs, &views, |shard| -> io::Result<_> {
+        let started = Instant::now();
+        let per_slot = pass.scan(shard.values())?;
+        Ok((per_slot, started.elapsed().as_micros() as u64))
+    });
+    let mut per_shard = Vec::with_capacity(shards);
+    let (mut fastest, mut slowest) = (u64::MAX, 0u64);
+    for part in parts {
+        let (per_slot, micros) = part?;
+        per_shard.push(per_slot);
+        fastest = fastest.min(micros);
+        slowest = slowest.max(micros);
     }
-    scanner.finish()
-}
-
-/// Publishes the per-replay shard counters shared by the batch engines.
-fn publish_shard_skew(shards: usize, fastest: u64, slowest: u64) {
     let skew_us = slowest.saturating_sub(fastest);
     vp_obs::counter("replay.shards").add(shards as u64);
     vp_obs::gauge("replay.shard_skew_ms").set_max(skew_us.div_ceil(1000));
     vp_obs::events::instant("replay.shard_skew", skew_us);
-}
-
-/// The batch fused engine behind [`ReplayRequest::run`] (plain variant).
-fn batch_matrix(
-    trace: &Trace,
-    plan: &SweepPlan,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<Vec<ReplayOutcome>> {
-    let _span = vp_obs::span("matrix");
-    let (slots, slot_of) = dedupe_cells(&plan.cells);
-    vp_obs::counter("replay.matrix_passes").add(1);
-    vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
-    let shards = shards.max(1);
-    let cols = trace.columns();
-
-    if shards == 1 {
-        let per_slot = matrix_scan(cols.value_events(), &plan.tables, &slots)?;
-        vp_obs::counter("replay.shards").add(1);
-        return Ok(slot_of
-            .iter()
-            .map(|&s| ReplayOutcome {
-                stats: per_slot[s].0,
-                occupancy: per_slot[s].1,
-                shards: 1,
-            })
-            .collect());
-    }
-
-    let modulus = joint_shard_modulus(&slots);
-    let views = cols.shard_by_pc(shards, move |addr| match modulus {
-        Some(g) => u64::from(addr.index()) % g,
-        None => u64::from(addr.index()),
-    });
-    let parts = parallel_map(jobs.max(1), &views, |shard| -> io::Result<_> {
-        let started = Instant::now();
-        let per_slot = matrix_scan(shard.values(), &plan.tables, &slots)?;
-        Ok((per_slot, started.elapsed().as_micros() as u64))
-    });
-
-    let mut merged = vec![(PredictorStats::new(), 0usize); slots.len()];
-    let (mut fastest, mut slowest) = (u64::MAX, 0u64);
-    for part in parts {
-        let (per_slot, micros) = part?;
-        for (acc, part) in merged.iter_mut().zip(per_slot) {
-            acc.0.merge(&part.0);
-            acc.1 += part.1;
-        }
-        fastest = fastest.min(micros);
-        slowest = slowest.max(micros);
-    }
-    publish_shard_skew(shards, fastest, slowest);
-    Ok(slot_of
-        .iter()
-        .map(|&s| ReplayOutcome {
-            stats: merged[s].0,
-            occupancy: merged[s].1,
-            shards,
-        })
-        .collect())
-}
-
-/// The batch fused engine behind [`ReplayRequest::run`] (attributed).
-fn batch_matrix_attributed(
-    trace: &Trace,
-    plan: &SweepPlan,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<Vec<(ReplayOutcome, AttributionTable)>> {
-    let _span = vp_obs::span("matrix");
-    let (slots, slot_of) = dedupe_cells(&plan.cells);
-    vp_obs::counter("replay.matrix_passes").add(1);
-    vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
-    let shards = shards.max(1);
-    let cols = trace.columns();
-
-    if shards == 1 {
-        let per_slot = matrix_scan_attributed(cols.value_events(), &plan.tables, &slots)?;
-        vp_obs::counter("replay.shards").add(1);
-        return Ok(slot_of
-            .iter()
-            .map(|&s| {
-                let (stats, occupancy, ref table) = per_slot[s];
-                (
-                    ReplayOutcome {
-                        stats,
-                        occupancy,
-                        shards: 1,
-                    },
-                    table.clone(),
-                )
-            })
-            .collect());
-    }
-
-    let modulus = joint_shard_modulus(&slots);
-    let views = cols.shard_by_pc(shards, move |addr| match modulus {
-        Some(g) => u64::from(addr.index()) % g,
-        None => u64::from(addr.index()),
-    });
-    let parts = parallel_map(jobs.max(1), &views, |shard| -> io::Result<_> {
-        let started = Instant::now();
-        let per_slot = matrix_scan_attributed(shard.values(), &plan.tables, &slots)?;
-        Ok((per_slot, started.elapsed().as_micros() as u64))
-    });
-
-    let mut merged: Vec<(PredictorStats, usize, AttributionTable)> = slots
-        .iter()
-        .map(|_| (PredictorStats::new(), 0usize, AttributionTable::new()))
-        .collect();
-    let (mut fastest, mut slowest) = (u64::MAX, 0u64);
-    for part in parts {
-        let (per_slot, micros) = part?;
-        for (acc, (stats, occupancy, table)) in merged.iter_mut().zip(per_slot) {
-            acc.0.merge(&stats);
-            acc.1 += occupancy;
-            acc.2.merge(&table);
-        }
-        fastest = fastest.min(micros);
-        slowest = slowest.max(micros);
-    }
-    publish_shard_skew(shards, fastest, slowest);
-    Ok(slot_of
-        .iter()
-        .map(|&s| {
-            let (stats, occupancy, ref table) = merged[s];
-            (
-                ReplayOutcome {
-                    stats,
-                    occupancy,
-                    shards,
-                },
-                table.clone(),
-            )
-        })
-        .collect())
+    Ok(per_shard)
 }
 
 /// Where a [`ReplayRequest`] reads its value events from.
@@ -599,9 +482,7 @@ impl ReplayResponse {
 /// ([`SweepPlan`]), whether to attribute mispredictions, how to shard and
 /// fan out, and where the value events come from ([`ReplaySource`]).
 ///
-/// This is the single entry point subsuming the four older functions
-/// (`replay_predictor[_attributed]`, `replay_matrix[_attributed]`, all
-/// now thin deprecated wrappers):
+/// This is the only replay entry point:
 ///
 /// ```
 /// use provp_core::replay::ReplayRequest;
@@ -736,152 +617,41 @@ impl<'a> ReplayRequest<'a> {
         if self.plan.is_empty() {
             return Ok(ReplayResponse::default());
         }
-        let cells = match (self.source, self.attribution) {
-            (ReplaySource::Batch(trace), false) => {
-                batch_matrix(trace, &self.plan, self.shards, self.jobs)?
-                    .into_iter()
-                    .map(|outcome| ReplayCellOutcome {
-                        outcome,
-                        attribution: None,
-                    })
-                    .collect()
-            }
-            (ReplaySource::Batch(trace), true) => {
-                batch_matrix_attributed(trace, &self.plan, self.shards, self.jobs)?
-                    .into_iter()
-                    .map(|(outcome, table)| ReplayCellOutcome {
-                        outcome,
-                        attribution: Some(table),
-                    })
-                    .collect()
-            }
-            (ReplaySource::Stream { program, limits }, false) => {
-                stream::stream_matrix(program, limits, &self.plan, self.shards, self.block_pool)?
-                    .into_iter()
-                    .map(|outcome| ReplayCellOutcome {
-                        outcome,
-                        attribution: None,
-                    })
-                    .collect()
-            }
-            (ReplaySource::Stream { program, limits }, true) => stream::stream_matrix_attributed(
-                program,
-                limits,
-                &self.plan,
-                self.shards,
-                self.block_pool,
-            )?
-            .into_iter()
-            .map(|(outcome, table)| ReplayCellOutcome {
-                outcome,
-                attribution: Some(table),
-            })
-            .collect(),
+        let (slots, slot_of) = dedupe_cells(&self.plan.cells);
+        vp_obs::counter("replay.matrix_passes").add(1);
+        vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
+        let pass = FusedPass {
+            tables: &self.plan.tables,
+            slots: &slots,
+            modulus: joint_shard_modulus(&slots),
+            attribution: self.attribution,
         };
+        let per_shard = match self.source {
+            ReplaySource::Batch(trace) => batch_shards(trace, &pass, self.shards, self.jobs)?,
+            ReplaySource::Stream { program, limits } => {
+                stream::stream_shards(program, limits, &pass, self.shards, self.block_pool)?
+            }
+        };
+        let merged = merge_shards(per_shard);
+        let cells = slot_of
+            .iter()
+            .map(|&s| {
+                let (stats, occupancy, ref attribution) = merged[s];
+                ReplayCellOutcome {
+                    outcome: ReplayOutcome {
+                        stats,
+                        occupancy,
+                        shards: self.shards,
+                    },
+                    attribution: attribution.clone(),
+                }
+            })
+            .collect();
         Ok(ReplayResponse { cells })
     }
 }
 
-/// Replays `trace`'s value events through `config`'s predictor.
-///
-/// # Errors
-///
-/// [`io::Error`] of kind `InvalidData` for foreign traces.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ReplayRequest::batch(trace).single(program, *config) instead"
-)]
-pub fn replay_predictor(
-    trace: &Trace,
-    program: &Program,
-    config: &PredictorConfig,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<ReplayOutcome> {
-    Ok(ReplayRequest::batch(trace)
-        .single(program, *config)
-        .shards(shards)
-        .jobs(jobs)
-        .run()?
-        .into_single()
-        .outcome)
-}
-
-/// Like `replay_predictor`, additionally observing every access into a
-/// per-PC [`AttributionTable`].
-///
-/// # Errors
-///
-/// [`io::Error`] of kind `InvalidData` for foreign traces.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ReplayRequest::batch(trace).single(program, *config).attribution(true) instead"
-)]
-pub fn replay_predictor_attributed(
-    trace: &Trace,
-    program: &Program,
-    config: &PredictorConfig,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<(ReplayOutcome, AttributionTable)> {
-    let cell = ReplayRequest::batch(trace)
-        .single(program, *config)
-        .attribution(true)
-        .shards(shards)
-        .jobs(jobs)
-        .run()?
-        .into_single();
-    Ok((
-        cell.outcome,
-        cell.attribution.expect("attribution requested"),
-    ))
-}
-
-/// Replays `trace`'s value events through *every* cell of `plan` in a
-/// single fused pass.
-///
-/// # Errors
-///
-/// [`io::Error`] of kind `InvalidData` for foreign traces.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ReplayRequest::batch(trace).plan(plan.clone()) instead"
-)]
-pub fn replay_matrix(
-    trace: &Trace,
-    plan: &SweepPlan,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<Vec<ReplayOutcome>> {
-    if plan.is_empty() {
-        return Ok(Vec::new());
-    }
-    batch_matrix(trace, plan, shards, jobs)
-}
-
-/// Like `replay_matrix`, additionally producing a per-PC
-/// [`AttributionTable`] per cell.
-///
-/// # Errors
-///
-/// [`io::Error`] of kind `InvalidData` for foreign traces.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ReplayRequest::batch(trace).plan(plan.clone()).attribution(true) instead"
-)]
-pub fn replay_matrix_attributed(
-    trace: &Trace,
-    plan: &SweepPlan,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<Vec<(ReplayOutcome, AttributionTable)>> {
-    if plan.is_empty() {
-        return Ok(Vec::new());
-    }
-    batch_matrix_attributed(trace, plan, shards, jobs)
-}
-
-pub(crate) fn outside_text(addr: vp_isa::InstrAddr) -> io::Error {
+fn outside_text(addr: vp_isa::InstrAddr) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!("trace event at {addr} outside program text"),
@@ -1032,39 +802,5 @@ mod tests {
         let (_, trace) = sample();
         let response = ReplayRequest::batch(&trace).run().unwrap();
         assert!(response.cells.is_empty());
-    }
-
-    /// The deprecated wrappers must stay bit-identical to the builder.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_builder() {
-        let (p, trace) = sample();
-        let cfg = PredictorConfig::spec_table_stride_profile();
-        let via_builder = single_outcome(&trace, &p, &cfg, 3, 2);
-        let via_wrapper = replay_predictor(&trace, &p, &cfg, 3, 2).unwrap();
-        assert_eq!(via_wrapper.stats, via_builder.stats);
-        assert_eq!(via_wrapper.occupancy, via_builder.occupancy);
-
-        let mut plan = SweepPlan::new();
-        let t = plan.add_directives(&p);
-        plan.add_cell(cfg, t);
-        plan.add_cell(PredictorConfig::spec_table_stride_fsm(), t);
-        let grid = replay_matrix(&trace, &plan, 2, 2).unwrap();
-        let response = ReplayRequest::batch(&trace)
-            .plan(plan.clone())
-            .shards(2)
-            .jobs(2)
-            .run()
-            .unwrap();
-        assert_eq!(grid.len(), response.cells.len());
-        for (w, b) in grid.iter().zip(&response.cells) {
-            assert_eq!(w.stats, b.outcome.stats);
-            assert_eq!(w.occupancy, b.outcome.occupancy);
-        }
-
-        let (out, table) = replay_predictor_attributed(&trace, &p, &cfg, 2, 2).unwrap();
-        let attributed = replay_matrix_attributed(&trace, &plan, 2, 2).unwrap();
-        assert_eq!(attributed[0].0.stats, out.stats);
-        assert_eq!(attributed[0].1, table);
     }
 }

@@ -7,8 +7,11 @@
 //! removes that coupling: a **producer** thread runs the simulation with
 //! a [`ValueBlockTracer`] that packs destination writes into
 //! [`vp_sim::VALUE_BLOCK`]-event columnar blocks, and `shards`
-//! **consumer** threads replay those blocks through the same push-based
-//! fused kernel the batch path uses ([`super::MatrixScanner`]).
+//! **consumer** threads replay those blocks through the same fused pass
+//! the batch source uses (`FusedPass::scan`, attribution
+//! included). This module only supplies each shard's event iterator;
+//! dedupe, merge and expansion are shared with the batch source in
+//! [`super::ReplayRequest::run`].
 //!
 //! ## Bounded channel, fixed block pool
 //!
@@ -48,7 +51,7 @@
 //! emitted), `stream.stalls` (submissions that found the pool empty) and
 //! `stream.producer_wait_ms` (total time the simulation spent blocked on
 //! backpressure), alongside the same `replay.*` counters the batch
-//! engine feeds.
+//! source feeds.
 //!
 //! [`Tracer::retire`]: vp_sim::Tracer::retire
 //! [`MATRIX_BLOCK`]: super::MATRIX_BLOCK
@@ -61,13 +64,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use vp_isa::{InstrAddr, Program};
-use vp_predictor::{AttributionTable, PredictorStats};
 use vp_sim::{RunLimits, ValueBlockSink, ValueBlockTracer};
 
-use super::{
-    dedupe_cells, joint_shard_modulus, matrix_scan, matrix_scan_attributed, ReplayOutcome,
-    SweepPlan,
-};
+use super::{FusedPass, SlotResult};
 
 /// Default number of block-buffer pairs circulating between the producer
 /// and the consumers. Eight blocks absorb ordinary consumer jitter
@@ -278,7 +277,7 @@ struct ShardEvents<'c> {
     channel: &'c Channel,
     index: usize,
     shards: u64,
-    modulus: Option<u64>,
+    pass: &'c FusedPass<'c>,
     block: Option<(Arc<BlockMsg>, usize)>,
 }
 
@@ -292,11 +291,7 @@ impl Iterator for ShardEvents<'_> {
                     let addr = msg.addrs[*pos];
                     let value = msg.values[*pos];
                     *pos += 1;
-                    let key = match self.modulus {
-                        Some(g) => u64::from(addr.index()) % g,
-                        None => u64::from(addr.index()),
-                    };
-                    if key % self.shards == self.index as u64 {
+                    if self.pass.shard_key(addr) % self.shards == self.index as u64 {
                         return Some((addr, value));
                     }
                 }
@@ -318,21 +313,19 @@ struct ProducerStats {
     waited: Duration,
 }
 
-/// Spawns the producer (simulation) and `shards` consumers, runs `scan`
-/// over each consumer's filtered event stream, and returns the per-shard
-/// results in shard order.
-fn run_streamed<T, F>(
+/// The stream source behind [`super::ReplayRequest::run`]: under a
+/// `stream` span, spawns the producer (simulation) and `shards`
+/// consumers, scans each consumer's filtered event stream with `pass`,
+/// and returns the per-shard results in shard order. The trace is never
+/// materialised.
+pub(crate) fn stream_shards(
     program: &Program,
     limits: RunLimits,
+    pass: &FusedPass<'_>,
     shards: usize,
     pool: usize,
-    modulus: Option<u64>,
-    scan: F,
-) -> io::Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(ShardEvents<'_>) -> io::Result<T> + Sync,
-{
+) -> io::Result<Vec<Vec<SlotResult>>> {
+    let _span = vp_obs::span("stream");
     let shards = shards.max(1);
     let pool = pool.max(MIN_BLOCK_POOL);
     let channel = Channel::new(shards, pool);
@@ -340,7 +333,6 @@ where
 
     let (producer, consumers) = thread::scope(|scope| {
         let channel = &channel;
-        let scan = &scan;
         let consumer_handles: Vec<_> = (0..shards)
             .map(|index| {
                 let parent_span = parent_span.clone();
@@ -349,11 +341,11 @@ where
                     let _adopted = vp_obs::span::adopt(parent_span);
                     let _worker = vp_obs::events::scope("worker");
                     let _detach = DetachGuard { channel, index };
-                    scan(ShardEvents {
+                    pass.scan(ShardEvents {
                         channel,
                         index,
                         shards: shards as u64,
-                        modulus,
+                        pass,
                         block: None,
                     })
                 })
@@ -378,7 +370,7 @@ where
             Ok(result) => result,
             Err(payload) => std::panic::resume_unwind(payload),
         };
-        let consumers: Vec<io::Result<T>> = consumer_handles
+        let consumers: Vec<io::Result<_>> = consumer_handles
             .into_iter()
             .map(|handle| match handle.join() {
                 Ok(result) => result,
@@ -394,92 +386,6 @@ where
     vp_obs::counter("stream.producer_wait_ms").add(stats.waited.as_millis() as u64);
     vp_obs::counter("replay.shards").add(shards as u64);
     consumers.into_iter().collect()
-}
-
-/// The streaming fused engine behind [`super::ReplayRequest::run`]
-/// (plain variant): simulate `program` once, replay every plan cell
-/// concurrently, never materialise the trace.
-pub(crate) fn stream_matrix(
-    program: &Program,
-    limits: RunLimits,
-    plan: &SweepPlan,
-    shards: usize,
-    pool: usize,
-) -> io::Result<Vec<ReplayOutcome>> {
-    let _span = vp_obs::span("stream");
-    let (slots, slot_of) = dedupe_cells(plan.cells());
-    vp_obs::counter("replay.matrix_passes").add(1);
-    vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
-    let shards = shards.max(1);
-    let modulus = joint_shard_modulus(&slots);
-    let tables = plan.tables();
-
-    let parts = run_streamed(program, limits, shards, pool, modulus, |events| {
-        matrix_scan(events, tables, &slots)
-    })?;
-
-    let mut merged = vec![(PredictorStats::new(), 0usize); slots.len()];
-    for per_slot in parts {
-        for (acc, part) in merged.iter_mut().zip(per_slot) {
-            acc.0.merge(&part.0);
-            acc.1 += part.1;
-        }
-    }
-    Ok(slot_of
-        .iter()
-        .map(|&s| ReplayOutcome {
-            stats: merged[s].0,
-            occupancy: merged[s].1,
-            shards,
-        })
-        .collect())
-}
-
-/// The streaming fused engine (attributed variant).
-pub(crate) fn stream_matrix_attributed(
-    program: &Program,
-    limits: RunLimits,
-    plan: &SweepPlan,
-    shards: usize,
-    pool: usize,
-) -> io::Result<Vec<(ReplayOutcome, AttributionTable)>> {
-    let _span = vp_obs::span("stream");
-    let (slots, slot_of) = dedupe_cells(plan.cells());
-    vp_obs::counter("replay.matrix_passes").add(1);
-    vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
-    let shards = shards.max(1);
-    let modulus = joint_shard_modulus(&slots);
-    let tables = plan.tables();
-
-    let parts = run_streamed(program, limits, shards, pool, modulus, |events| {
-        matrix_scan_attributed(events, tables, &slots)
-    })?;
-
-    let mut merged: Vec<(PredictorStats, usize, AttributionTable)> = slots
-        .iter()
-        .map(|_| (PredictorStats::new(), 0usize, AttributionTable::new()))
-        .collect();
-    for per_slot in parts {
-        for (acc, (stats, occupancy, table)) in merged.iter_mut().zip(per_slot) {
-            acc.0.merge(&stats);
-            acc.1 += occupancy;
-            acc.2.merge(&table);
-        }
-    }
-    Ok(slot_of
-        .iter()
-        .map(|&s| {
-            let (stats, occupancy, ref table) = merged[s];
-            (
-                ReplayOutcome {
-                    stats,
-                    occupancy,
-                    shards,
-                },
-                table.clone(),
-            )
-        })
-        .collect())
 }
 
 #[cfg(test)]

@@ -521,8 +521,10 @@ impl TraceStore {
         match Trace::read_from(bytes.as_slice()) {
             Ok(trace) => Some(trace),
             Err(_) => {
-                // Corrupt or truncated spill file: drop it and re-simulate.
+                // Corrupt, truncated or stale-format spill file: drop it
+                // and re-simulate.
                 vp_obs::obs_warn!("dropping corrupt trace spill file {path:?}");
+                vp_obs::counter("trace_store.spill_rejects").inc();
                 let _ = fs::remove_file(&path);
                 None
             }

@@ -13,15 +13,10 @@
 //! instruction so the directive-routed causes (`class-mismatch`,
 //! `uncovered`) are exercised too.
 
-// These suites deliberately pin the deprecated pre-ReplayRequest entry
-// points: they are kept as thin wrappers and must stay bit-identical to
-// the builder until removal (see DESIGN.md deprecation policy).
-#![allow(deprecated)]
-
-use provp_core::{replay_predictor, replay_predictor_attributed};
+use provp_core::{ReplayOutcome, ReplayRequest};
 use vp_isa::asm::assemble;
 use vp_isa::{InstrAddr, Program, Reg, RegClass};
-use vp_predictor::{ClassifierKind, PredictorConfig, TableGeometry};
+use vp_predictor::{AttributionTable, ClassifierKind, PredictorConfig, TableGeometry};
 use vp_rng::{prop, Rng};
 use vp_sim::{Trace, TraceEvent};
 
@@ -39,6 +34,27 @@ fn program_with(n: u32) -> Program {
     }
     src.push_str("halt\n");
     assemble(&src).expect("synthetic program assembles")
+}
+
+/// `config` replayed under `program`'s directives through a batch
+/// [`ReplayRequest`] at `shards` shards / `jobs` workers, with or without
+/// attribution.
+fn replay(
+    trace: &Trace,
+    program: &Program,
+    config: &PredictorConfig,
+    shards: usize,
+    jobs: usize,
+    attribution: bool,
+) -> std::io::Result<(ReplayOutcome, Option<AttributionTable>)> {
+    let cell = ReplayRequest::batch(trace)
+        .single(program, *config)
+        .attribution(attribution)
+        .shards(shards)
+        .jobs(jobs)
+        .run()?
+        .into_single();
+    Ok((cell.outcome, cell.attribution))
 }
 
 /// `len` destination-writing events over `n_static` static addresses,
@@ -122,10 +138,13 @@ fn prop_attribution_is_job_count_invariant_and_reconciles() {
         let trace = Trace::from_events(events.clone());
         for config in configs {
             // Baseline: unattributed sequential replay.
-            let plain = replay_predictor(&trace, &program, config, 1, 1).expect("plain replay");
+            let (plain, no_table) =
+                replay(&trace, &program, config, 1, 1, false).expect("plain replay");
+            assert!(no_table.is_none(), "a plain replay builds no table");
             // jobs=1: one shard, one worker.
-            let (seq, seq_table) = replay_predictor_attributed(&trace, &program, config, 1, 1)
-                .expect("sequential attributed replay");
+            let (seq, seq_table) =
+                replay(&trace, &program, config, 1, 1, true).expect("sequential attributed replay");
+            let seq_table = seq_table.expect("attribution requested");
             assert_eq!(
                 seq.stats,
                 plain.stats,
@@ -137,12 +156,11 @@ fn prop_attribution_is_job_count_invariant_and_reconciles() {
                 .unwrap_or_else(|e| panic!("{}: {e}", config.label()));
             // jobs=8 over every shard refinement: bit-identical tables.
             for shards in [2usize, 3, 5, 8] {
-                let (par, par_table) =
-                    replay_predictor_attributed(&trace, &program, config, shards, 8)
-                        .expect("sharded attributed replay");
+                let (par, par_table) = replay(&trace, &program, config, shards, 8, true)
+                    .expect("sharded attributed replay");
                 assert_eq!(par.stats, seq.stats, "{}", config.label());
                 assert_eq!(
-                    par_table,
+                    par_table.expect("attribution requested"),
                     seq_table,
                     "{}: table diverged at {shards} shards / 8 jobs",
                     config.label()
@@ -169,8 +187,9 @@ fn prop_per_pc_causes_partition_the_misses() {
         let program = program_with(*n_static);
         let trace = Trace::from_events(events.clone());
         for config in configs {
-            let (_, table) = replay_predictor_attributed(&trace, &program, config, 1, 1)
-                .expect("attributed replay");
+            let (_, table) =
+                replay(&trace, &program, config, 1, 1, true).expect("attributed replay");
+            let table = table.expect("attribution requested");
             for (addr, pc) in table.entries() {
                 let misses = pc.accesses - pc.raw_correct;
                 let charged: u64 = pc.causes.iter().sum();

@@ -1,26 +1,20 @@
 //! Property tests for the fused sweep-matrix replay: for arbitrary
-//! traces, cell sets, shard counts and job counts, every cell of
-//! [`provp_core::replay_matrix`]'s grid must be **bit-identical** to an
-//! independent per-cell [`provp_core::replay_predictor`] run — including
-//! plans with duplicate cells and multiple directive-annotation tables.
+//! traces, cell sets, shard counts and job counts, every cell of a fused
+//! whole-plan [`ReplayRequest`]'s grid must be **bit-identical** to an
+//! independent single-cell [`ReplayRequest`] run — including plans with
+//! duplicate cells and multiple directive-annotation tables.
 //!
 //! The generators mirror `sharded_replay.rs`: value streams mixing
 //! repeats, constant strides and noise so every classifier gets driven
 //! through its transition graph, and programs whose directives vary per
 //! static instruction so directive-routed cells do not degenerate.
 
-// These suites deliberately pin the deprecated pre-ReplayRequest entry
-// points: they are kept as thin wrappers and must stay bit-identical to
-// the builder until removal (see DESIGN.md deprecation policy).
-#![allow(deprecated)]
+use std::io;
 
-use provp_core::{
-    replay_matrix, replay_matrix_attributed, replay_predictor, replay_predictor_attributed, Suite,
-    SweepPlan,
-};
+use provp_core::{ReplayOutcome, ReplayRequest, Suite, SweepPlan};
 use vp_isa::asm::assemble;
 use vp_isa::{InstrAddr, Program, Reg, RegClass};
-use vp_predictor::{ClassifierKind, PredictorConfig, TableGeometry};
+use vp_predictor::{AttributionTable, ClassifierKind, PredictorConfig, TableGeometry};
 use vp_rng::{prop, Rng};
 use vp_sim::{Trace, TraceEvent};
 use vp_workloads::WorkloadKind;
@@ -39,6 +33,43 @@ fn program_with(n: u32) -> Program {
     }
     src.push_str("halt\n");
     assemble(&src).expect("synthetic program assembles")
+}
+
+/// Every cell of `plan` in one fused batch pass at `shards` shards /
+/// `jobs` workers, with or without attribution, in plan order.
+fn fused_grid(
+    trace: &Trace,
+    plan: &SweepPlan,
+    shards: usize,
+    jobs: usize,
+    attribution: bool,
+) -> io::Result<Vec<(ReplayOutcome, Option<AttributionTable>)>> {
+    Ok(ReplayRequest::batch(trace)
+        .plan(plan.clone())
+        .attribution(attribution)
+        .shards(shards)
+        .jobs(jobs)
+        .run()?
+        .cells
+        .into_iter()
+        .map(|cell| (cell.outcome, cell.attribution))
+        .collect())
+}
+
+/// The independent reference: `config` alone under `program`'s
+/// directives, sequential and unsharded.
+fn per_cell(
+    trace: &Trace,
+    program: &Program,
+    config: &PredictorConfig,
+    attribution: bool,
+) -> io::Result<(ReplayOutcome, Option<AttributionTable>)> {
+    let cell = ReplayRequest::batch(trace)
+        .single(program, *config)
+        .attribution(attribution)
+        .run()?
+        .into_single();
+    Ok((cell.outcome, cell.attribution))
 }
 
 /// `len` destination-writing events over `n_static` static addresses,
@@ -137,24 +168,24 @@ fn empty_plan_yields_an_empty_grid() {
     let mut plan = SweepPlan::new();
     plan.add_directives(&program);
     assert!(plan.is_empty());
-    let grid = replay_matrix(&trace, &plan, 4, 2).expect("matrix");
+    let grid = fused_grid(&trace, &plan, 4, 2, false).expect("matrix");
     assert!(grid.is_empty());
-    let grid = replay_matrix_attributed(&trace, &plan, 4, 2).expect("matrix");
+    let grid = fused_grid(&trace, &plan, 4, 2, true).expect("matrix");
     assert!(grid.is_empty());
 }
 
 #[test]
-fn singleton_plan_matches_replay_predictor() {
+fn singleton_plan_matches_single_cell_replay() {
     let (trace, program, _) = fixture();
     for config in panel() {
         let mut plan = SweepPlan::new();
         let table = plan.add_directives(&program);
         plan.add_cell(config, table);
-        let fused = replay_matrix(&trace, &plan, 1, 1).expect("matrix");
-        let cell = replay_predictor(&trace, &program, &config, 1, 1).expect("replay");
+        let fused = fused_grid(&trace, &plan, 1, 1, false).expect("matrix");
+        let (cell, _) = per_cell(&trace, &program, &config, false).expect("replay");
         assert_eq!(fused.len(), 1);
-        assert_eq!(fused[0].stats, cell.stats, "{}", config.label());
-        assert_eq!(fused[0].occupancy, cell.occupancy, "{}", config.label());
+        assert_eq!(fused[0].0.stats, cell.stats, "{}", config.label());
+        assert_eq!(fused[0].0.occupancy, cell.occupancy, "{}", config.label());
     }
 }
 
@@ -172,10 +203,10 @@ fn duplicate_cells_all_receive_the_shared_outcome() {
     let again = plan.add_directives(&program);
     assert_eq!(again, table, "identical annotation tables must collapse");
     plan.add_cell(config, again);
-    let expected = replay_predictor(&trace, &program, &config, 1, 1).expect("replay");
-    let fused = replay_matrix(&trace, &plan, 2, 2).expect("matrix");
+    let (expected, _) = per_cell(&trace, &program, &config, false).expect("replay");
+    let fused = fused_grid(&trace, &plan, 2, 2, false).expect("matrix");
     assert_eq!(fused.len(), 4, "every requested cell gets an outcome");
-    for out in &fused {
+    for (out, _) in &fused {
         assert_eq!(out.stats, expected.stats);
         assert_eq!(out.occupancy, expected.occupancy);
     }
@@ -199,13 +230,13 @@ fn mixed_plan_is_shard_and_job_invariant() {
     }
     let expected: Vec<_> = cells
         .iter()
-        .map(|(config, _, p)| replay_predictor(&trace, p, config, 1, 1).expect("replay"))
+        .map(|(config, _, p)| per_cell(&trace, p, config, false).expect("replay").0)
         .collect();
     for shards in [1usize, 2, 4, 8] {
         for jobs in [1usize, 4] {
-            let fused = replay_matrix(&trace, &plan, shards, jobs).expect("matrix");
+            let fused = fused_grid(&trace, &plan, shards, jobs, false).expect("matrix");
             assert_eq!(fused.len(), cells.len());
-            for (i, (out, exp)) in fused.iter().zip(&expected).enumerate() {
+            for (i, ((out, _), exp)) in fused.iter().zip(&expected).enumerate() {
                 assert_eq!(
                     out.stats,
                     exp.stats,
@@ -241,14 +272,18 @@ fn attributed_matrix_matches_attributed_per_cell_replay() {
         plan.add_cell(config, table);
     }
     for shards in [1usize, 3] {
-        let fused = replay_matrix_attributed(&trace, &plan, shards, 2).expect("matrix");
+        let fused = fused_grid(&trace, &plan, shards, 2, true).expect("matrix");
         assert_eq!(fused.len(), cells.len());
         for (i, ((out, table), (config, _, p))) in fused.iter().zip(&cells).enumerate() {
-            let (exp_out, exp_table) =
-                replay_predictor_attributed(&trace, p, config, 1, 1).expect("replay");
+            let (exp_out, exp_table) = per_cell(&trace, p, config, true).expect("replay");
+            let table = table.as_ref().expect("attribution requested");
             assert_eq!(out.stats, exp_out.stats, "cell {i} at {shards} shards");
             assert_eq!(out.occupancy, exp_out.occupancy, "cell {i}");
-            assert_eq!(*table, exp_table, "cell {i} attribution table");
+            assert_eq!(
+                Some(table),
+                exp_table.as_ref(),
+                "cell {i} attribution table"
+            );
             table
                 .reconcile(&out.stats)
                 .expect("attribution totals reconcile with the fused stats");
@@ -296,10 +331,10 @@ fn prop_fused_matrix_is_bit_identical_to_per_cell_replay() {
         for &(config, table, _) in &cells {
             plan.add_cell(config, table);
         }
-        let fused = replay_matrix(&trace, &plan, *shards, *jobs).expect("matrix");
+        let fused = fused_grid(&trace, &plan, *shards, *jobs, false).expect("matrix");
         assert_eq!(fused.len(), cells.len());
-        for (i, (out, (config, _, p))) in fused.iter().zip(&cells).enumerate() {
-            let exp = replay_predictor(&trace, p, config, 1, 1).expect("replay");
+        for ((i, (out, _)), (config, _, p)) in fused.iter().enumerate().zip(&cells) {
+            let (exp, _) = per_cell(&trace, p, config, false).expect("replay");
             assert_eq!(
                 out.stats,
                 exp.stats,

@@ -10,12 +10,7 @@
 //! per static instruction so the directive-routed configurations do not
 //! degenerate.
 
-// These suites deliberately pin the deprecated pre-ReplayRequest entry
-// points: they are kept as thin wrappers and must stay bit-identical to
-// the builder until removal (see DESIGN.md deprecation policy).
-#![allow(deprecated)]
-
-use provp_core::replay_predictor;
+use provp_core::{ReplayOutcome, ReplayRequest};
 use vp_isa::asm::assemble;
 use vp_isa::{InstrAddr, Program, Reg, RegClass};
 use vp_predictor::{ClassifierKind, PredictorConfig, TableGeometry};
@@ -61,6 +56,24 @@ fn arb_events(rng: &mut Rng, n_static: u32, len: usize) -> Vec<TraceEvent> {
             }
         })
         .collect()
+}
+
+/// `config` replayed under `program`'s directives through a batch
+/// [`ReplayRequest`] at `shards` shards / `jobs` workers.
+fn replay(
+    trace: &Trace,
+    program: &Program,
+    config: &PredictorConfig,
+    shards: usize,
+    jobs: usize,
+) -> std::io::Result<ReplayOutcome> {
+    Ok(ReplayRequest::batch(trace)
+        .single(program, *config)
+        .shards(shards)
+        .jobs(jobs)
+        .run()?
+        .into_single()
+        .outcome)
 }
 
 fn arb_geometry(rng: &mut Rng) -> TableGeometry {
@@ -112,9 +125,8 @@ fn prop_sharded_replay_is_bit_identical_to_sequential() {
     .check(|(n_static, events, config, shards, jobs)| {
         let program = program_with(*n_static);
         let trace = Trace::from_events(events.clone());
-        let seq = replay_predictor(&trace, &program, config, 1, 1).expect("sequential replay");
-        let par =
-            replay_predictor(&trace, &program, config, *shards, *jobs).expect("sharded replay");
+        let seq = replay(&trace, &program, config, 1, 1).expect("sequential replay");
+        let par = replay(&trace, &program, config, *shards, *jobs).expect("sharded replay");
         assert_eq!(
             par.stats,
             seq.stats,
@@ -144,7 +156,7 @@ fn prop_merge_is_shard_count_invariant() {
         let trace = Trace::from_events(events.clone());
         let outcomes: Vec<_> = [1usize, 2, 3, 5, 8]
             .iter()
-            .map(|&shards| replay_predictor(&trace, &program, config, shards, 2).expect("replay"))
+            .map(|&shards| replay(&trace, &program, config, shards, 2).expect("replay"))
             .collect();
         for pair in outcomes.windows(2) {
             assert_eq!(pair[0].stats, pair[1].stats, "{}", config.label());

@@ -115,11 +115,35 @@ fn disk_spill_round_trips_across_stores() {
     assert_eq!(stats.disk_hits, 1);
 
     // A corrupt spill file falls back to simulation instead of failing.
+    let rejects = vp_obs::counter("trace_store.spill_rejects");
+    let current = std::fs::read(&spilled).unwrap();
+    assert_eq!(&current[..8], b"provptr3");
+    let before = rejects.get();
     std::fs::write(&spilled, b"garbage").unwrap();
     let third = TraceStore::new().with_spill_dir(&dir);
     let recaptured = third.get(kind, input, limits).unwrap();
     assert_eq!(*captured, *recaptured);
     assert_eq!(third.stats().captures, 1);
+    assert!(rejects.get() > before, "a dropped spill file is a reject");
+
+    // Spill files in the retired formats are stale: `provptr2` (the
+    // current body without its checksum trailer) and `provptr1` magic
+    // are each dropped, re-simulated and rewritten as `provptr3`.
+    let legacy_v2 = [&b"provptr2"[..], &current[8..current.len() - 8]].concat();
+    let legacy_v1 = [&b"provptr1"[..], &current[8..]].concat();
+    for stale in [legacy_v2, legacy_v1] {
+        std::fs::write(&spilled, &stale).unwrap();
+        let before = rejects.get();
+        let store = TraceStore::new().with_spill_dir(&dir);
+        let reloaded = store.get(kind, input, limits).unwrap();
+        assert_eq!(*captured, *reloaded);
+        let stats = store.stats();
+        assert_eq!(stats.captures, 1, "a stale spill file is a capture");
+        assert_eq!(stats.disk_hits, 0, "a stale spill file is not a disk hit");
+        assert!(rejects.get() > before, "a stale spill file is a reject");
+        let rewritten = std::fs::read(&spilled).unwrap();
+        assert_eq!(rewritten, current, "rewritten in the current format");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

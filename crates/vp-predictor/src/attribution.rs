@@ -267,6 +267,7 @@ impl AttributionTable {
         self.tracked
     }
 
+    #[inline]
     fn slot(&mut self, addr: InstrAddr) -> &mut (PcAttribution, Shadow) {
         let index = addr.index() as usize;
         let tracked = &mut self.tracked;
@@ -288,6 +289,11 @@ impl AttributionTable {
     /// Folds one access outcome into the PC's record, charging a cause
     /// when the raw prediction missed. Call with exactly the arguments
     /// passed to / returned by [`crate::ValuePredictor::access`].
+    ///
+    /// Inlined (with its helpers) into the per-event loop of
+    /// [`crate::ValuePredictor::access_batch`], where attributed replays
+    /// spend most of their time.
+    #[inline]
     pub fn observe(&mut self, addr: InstrAddr, directive: Directive, a: &Access, actual: u64) {
         let (record, shadow) = self.slot(addr);
         if record.accesses == 0 {
@@ -422,6 +428,7 @@ impl PartialEq for AttributionTable {
 
 /// Charges one raw-incorrect access to a cause, from the access outcome
 /// and the PC's shadow history (*before* this access is folded in).
+#[inline]
 fn decide_cause(
     directive: Directive,
     a: &Access,

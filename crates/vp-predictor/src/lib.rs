@@ -75,10 +75,12 @@ pub trait ValuePredictor {
     /// hardware did, and trains the predictor.
     fn access(&mut self, addr: InstrAddr, directive: Directive, actual: u64) -> Access;
 
-    /// Presents a block of dynamic instances at once, discarding the
-    /// per-access outcomes (cumulative [`ValuePredictor::stats`] still
-    /// advance). Semantically identical to calling
-    /// [`ValuePredictor::access`] in slice order.
+    /// Presents a block of dynamic instances at once. Semantically
+    /// identical to calling [`ValuePredictor::access`] in slice order.
+    /// With `attribution`, each access's [`Access`] is folded into the
+    /// table with [`AttributionTable::observe`] right after the access, in
+    /// slice order; without it the outcomes are discarded (cumulative
+    /// [`ValuePredictor::stats`] still advance).
     ///
     /// The default body is monomorphised per implementing type, so the
     /// inner `access` calls dispatch statically: fused sweep kernels pay
@@ -87,12 +89,28 @@ pub trait ValuePredictor {
     ///
     /// # Panics
     ///
-    /// Panics if the three slices have different lengths.
-    fn access_batch(&mut self, addrs: &[InstrAddr], directives: &[Directive], values: &[u64]) {
+    /// Panics if the three input slices have different lengths.
+    fn access_batch(
+        &mut self,
+        addrs: &[InstrAddr],
+        directives: &[Directive],
+        values: &[u64],
+        attribution: Option<&mut AttributionTable>,
+    ) {
         assert_eq!(addrs.len(), directives.len());
         assert_eq!(addrs.len(), values.len());
-        for i in 0..addrs.len() {
-            self.access(addrs[i], directives[i], values[i]);
+        match attribution {
+            None => {
+                for i in 0..addrs.len() {
+                    self.access(addrs[i], directives[i], values[i]);
+                }
+            }
+            Some(table) => {
+                for i in 0..addrs.len() {
+                    let access = self.access(addrs[i], directives[i], values[i]);
+                    table.observe(addrs[i], directives[i], &access, values[i]);
+                }
+            }
         }
     }
 
@@ -107,5 +125,51 @@ pub trait ValuePredictor {
     /// table pressure; never consulted by the experiments themselves.
     fn occupancy(&self) -> usize {
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Both arms of `access_batch` must advance the predictor exactly as
+    /// per-event `access` calls do, and the attributed arm must build the
+    /// table that observing those calls' results in slice order builds.
+    #[test]
+    fn access_batch_matches_per_event_access() {
+        let addrs: Vec<InstrAddr> = (0..300u32).map(|i| InstrAddr::new(i % 7)).collect();
+        let directives: Vec<Directive> = addrs
+            .iter()
+            .map(|a| match a.index() % 3 {
+                0 => Directive::None,
+                1 => Directive::Stride,
+                _ => Directive::LastValue,
+            })
+            .collect();
+        let values: Vec<u64> = (0..300u64).map(|i| (i / 7) * 4 + i % 5).collect();
+        for config in [
+            PredictorConfig::spec_table_stride_fsm(),
+            PredictorConfig::Hybrid {
+                stride: TableGeometry::new(4, 2),
+                last_value: TableGeometry::new(4, 1),
+            },
+        ] {
+            let mut single = config.build();
+            let mut expected = AttributionTable::new();
+            for i in 0..addrs.len() {
+                let access = single.access(addrs[i], directives[i], values[i]);
+                expected.observe(addrs[i], directives[i], &access, values[i]);
+            }
+
+            let mut plain = config.build();
+            plain.access_batch(&addrs, &directives, &values, None);
+            assert_eq!(plain.stats(), single.stats());
+
+            let mut observed = config.build();
+            let mut table = AttributionTable::new();
+            observed.access_batch(&addrs, &directives, &values, Some(&mut table));
+            assert_eq!(observed.stats(), single.stats());
+            assert_eq!(table, expected);
+        }
     }
 }

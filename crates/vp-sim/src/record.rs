@@ -8,13 +8,12 @@
 //!
 //! Traces are held columnar ([`TraceColumns`]) and spilled in a compact
 //! varint + delta encoded format protected by a trailing FNV-1a-64
-//! checksum (`provptr3`); the reader also accepts the unchecksummed
-//! columnar format (`provptr2`) and the original fixed-width AoS format
-//! (`provptr1`), so spill directories written by earlier versions keep
-//! working. Malformed inputs surface as a typed [`TraceError`] — in
-//! particular, on-disk length prefixes are never trusted for allocation,
-//! so a corrupt header cannot OOM the reader, and (for `provptr3`) a bit
-//! flip anywhere in the body fails the checksum instead of silently
+//! checksum (`provptr3`), the only format read or written. Any other
+//! magic, including those of retired earlier formats, is
+//! [`TraceError::BadMagic`]. Malformed inputs surface as a typed
+//! [`TraceError`] — in particular, on-disk length prefixes are never
+//! trusted for allocation, so a corrupt header cannot OOM the reader, and
+//! a bit flip anywhere in the body fails the checksum instead of silently
 //! decoding to wrong values.
 
 use std::collections::HashMap;
@@ -462,20 +461,11 @@ where
     }
 }
 
-/// Legacy fixed-width AoS format (one flag byte + fixed-width fields per
-/// event). Still readable; never written except by the doc-hidden legacy
-/// writer kept for fixture tests.
-const MAGIC_V1: &[u8; 8] = b"provptr1";
-
-/// Legacy columnar format: varint section lengths, raw flag column,
-/// zigzag-varint delta-encoded address/value columns. Still readable;
-/// never written except by the doc-hidden legacy writer.
-const MAGIC_V2: &[u8; 8] = b"provptr2";
-
-/// Current format: the `provptr2` columnar body followed by an FNV-1a-64
+/// The spill format: varint section lengths, raw flag column,
+/// zigzag-varint delta-encoded address/value columns, then an FNV-1a-64
 /// checksum over every body byte, so corruption that would decode as
 /// plausible-but-wrong column data is caught instead of silently accepted.
-const MAGIC_V3: &[u8; 8] = b"provptr3";
+const MAGIC: &[u8; 8] = b"provptr3";
 
 // --- FNV-1a-64 streaming checksum --------------------------------------
 
@@ -550,8 +540,7 @@ pub fn write_trace<W: Write>(w: W, events: &[TraceEvent]) -> io::Result<()> {
     write_columns(w, &TraceColumns::from_events(events))
 }
 
-/// Deserialises a trace from a reader (either format version; pass
-/// `&mut reader` to keep it).
+/// Deserialises a trace from a reader (pass `&mut reader` to keep it).
 ///
 /// # Errors
 ///
@@ -568,27 +557,14 @@ pub fn read_trace<R: Read>(r: R) -> Result<Vec<TraceEvent>, TraceError> {
 ///
 /// Propagates writer errors.
 pub fn write_columns<W: Write>(mut w: W, cols: &TraceColumns) -> io::Result<()> {
-    w.write_all(MAGIC_V3)?;
+    w.write_all(MAGIC)?;
     let mut hw = HashingWriter::new(&mut w);
     write_columns_body(&mut hw, cols)?;
     let checksum = hw.hash;
     w.write_all(&checksum.to_le_bytes())
 }
 
-/// Writes the legacy unchecksummed `provptr2` format. Kept (hidden) so
-/// tests can prove the backward-compatible read path; production code
-/// always writes `provptr3`.
-///
-/// # Errors
-///
-/// Propagates writer errors.
-#[doc(hidden)]
-pub fn write_columns_legacy_v2<W: Write>(mut w: W, cols: &TraceColumns) -> io::Result<()> {
-    w.write_all(MAGIC_V2)?;
-    write_columns_body(&mut w, cols)
-}
-
-/// The shared v2/v3 columnar body (everything after the magic).
+/// The columnar body (everything between the magic and the checksum).
 fn write_columns_body<W: Write>(mut w: W, cols: &TraceColumns) -> io::Result<()> {
     let c = cols.raw_parts();
     write_varint(&mut w, c.flags.len() as u64)?;
@@ -639,35 +615,25 @@ fn write_columns_body<W: Write>(mut w: W, cols: &TraceColumns) -> io::Result<()>
     Ok(())
 }
 
-/// Deserialises a columnar trace, accepting the current checksummed
-/// `provptr3` format, the legacy `provptr2` columnar format and the legacy
-/// `provptr1` AoS format.
+/// Deserialises a columnar trace in the `provptr3` format.
 ///
 /// # Errors
 ///
-/// A typed [`TraceError`]. Length prefixes are bounded by
-/// [`MAX_TRACE_EVENTS`] and never trusted for allocation: the reader
-/// pre-allocates at most a small capped amount until the stream has
-/// actually produced the promised bytes. For `provptr3` the trailing
-/// checksum is mandatory: a missing trailer is [`TraceError::Truncated`],
-/// a mismatching one is [`TraceError::Corrupt`].
+/// A typed [`TraceError`]. Any other magic, including those of retired
+/// earlier formats, is [`TraceError::BadMagic`]. Length
+/// prefixes are bounded by [`MAX_TRACE_EVENTS`] and never trusted for
+/// allocation: the reader pre-allocates at most a small capped amount
+/// until the stream has actually produced the promised bytes. The
+/// trailing checksum is mandatory: a missing trailer is
+/// [`TraceError::Truncated`], a mismatching one is [`TraceError::Corrupt`].
 pub fn read_columns<R: Read>(mut r: R) -> Result<TraceColumns, TraceError> {
     let mut magic = [0u8; 8];
     read_exact_or(&mut r, &mut magic, "magic")?;
-    if &magic == MAGIC_V3 {
-        read_columns_v3(r)
-    } else if &magic == MAGIC_V2 {
-        read_columns_v2(r)
-    } else if &magic == MAGIC_V1 {
-        Ok(TraceColumns::from_events(&read_events_v1(r)?))
-    } else {
-        Err(TraceError::BadMagic)
+    if &magic != MAGIC {
+        return Err(TraceError::BadMagic);
     }
-}
-
-fn read_columns_v3<R: Read>(r: R) -> Result<TraceColumns, TraceError> {
     let mut hr = HashingReader::new(r);
-    let cols = read_columns_v2(&mut hr)?;
+    let cols = read_columns_body(&mut hr)?;
     let body_hash = hr.hash;
     let mut trailer = [0u8; 8];
     read_exact_or(&mut hr, &mut trailer, "checksum trailer")?;
@@ -682,7 +648,8 @@ fn read_columns_v3<R: Read>(r: R) -> Result<TraceColumns, TraceError> {
     Ok(cols)
 }
 
-fn read_columns_v2<R: Read>(mut r: R) -> Result<TraceColumns, TraceError> {
+/// Parses the columnar body (magic already consumed, checksum not read).
+fn read_columns_body<R: Read>(mut r: R) -> Result<TraceColumns, TraceError> {
     let n = read_varint(&mut r, "event count")?;
     if n > MAX_TRACE_EVENTS {
         return Err(TraceError::AbsurdLength {
@@ -821,124 +788,6 @@ fn read_columns_v2<R: Read>(mut r: R) -> Result<TraceColumns, TraceError> {
     ))
 }
 
-/// Reads the body of a legacy `provptr1` trace (magic already consumed).
-fn read_events_v1<R: Read>(mut r: R) -> Result<Vec<TraceEvent>, TraceError> {
-    let mut count = [0u8; 8];
-    read_exact_or(&mut r, &mut count, "event count")?;
-    let count = u64::from_le_bytes(count);
-    if count > MAX_TRACE_EVENTS {
-        return Err(TraceError::AbsurdLength {
-            claimed: count,
-            limit: MAX_TRACE_EVENTS,
-        });
-    }
-    // Never size an allocation from the (untrusted) prefix: start capped,
-    // let actual parsed events grow the vector.
-    let mut events = Vec::with_capacity((count as usize).min(PREALLOC_CAP));
-    for _ in 0..count {
-        let mut header = [0u8; 9];
-        read_exact_or(&mut r, &mut header, "event header")?;
-        let flags = header[0];
-        let addr = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes"));
-        let next_pc = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes"));
-        let dest = if flags & F_DEST != 0 {
-            let mut buf = [0u8; 9];
-            read_exact_or(&mut r, &mut buf, "destination payload")?;
-            let reg = Reg::try_new(buf[0]).ok_or_else(|| TraceError::Corrupt {
-                context: format!("register {} out of range", buf[0]),
-            })?;
-            let value = u64::from_le_bytes(buf[1..9].try_into().expect("8 bytes"));
-            let class = if flags & F_DEST_FP != 0 {
-                RegClass::Fp
-            } else {
-                RegClass::Int
-            };
-            Some((class, reg, value))
-        } else {
-            None
-        };
-        let (mem, stored) = if flags & F_MEM != 0 {
-            let mut buf = [0u8; 8];
-            read_exact_or(&mut r, &mut buf, "memory payload")?;
-            let store = flags & F_MEM_STORE != 0;
-            let stored = if store {
-                let mut v = [0u8; 8];
-                read_exact_or(&mut r, &mut v, "stored value")?;
-                Some(u64::from_le_bytes(v))
-            } else {
-                None
-            };
-            (
-                Some(MemAccess {
-                    addr: u64::from_le_bytes(buf),
-                    store,
-                }),
-                stored,
-            )
-        } else {
-            (None, None)
-        };
-        let taken = (flags & F_BRANCH != 0).then_some(flags & F_TAKEN != 0);
-        events.push(TraceEvent {
-            addr: InstrAddr::new(addr),
-            dest,
-            mem,
-            stored,
-            taken,
-            next_pc: InstrAddr::new(next_pc),
-        });
-    }
-    Ok(events)
-}
-
-/// Writes the legacy `provptr1` fixed-width format. Kept (hidden) so
-/// tests can produce legacy fixtures and prove the backward-compatible
-/// read path; production code always writes `provptr2`.
-///
-/// # Errors
-///
-/// Propagates writer errors.
-#[doc(hidden)]
-pub fn write_trace_legacy_v1<W: Write>(mut w: W, events: &[TraceEvent]) -> io::Result<()> {
-    w.write_all(MAGIC_V1)?;
-    w.write_all(&(events.len() as u64).to_le_bytes())?;
-    for ev in events {
-        let mut flags = 0u8;
-        if let Some((class, _, _)) = ev.dest {
-            flags |= F_DEST;
-            if class == RegClass::Fp {
-                flags |= F_DEST_FP;
-            }
-        }
-        if let Some(mem) = ev.mem {
-            flags |= F_MEM;
-            if mem.store {
-                flags |= F_MEM_STORE;
-            }
-        }
-        if let Some(taken) = ev.taken {
-            flags |= F_BRANCH;
-            if taken {
-                flags |= F_TAKEN;
-            }
-        }
-        w.write_all(&[flags])?;
-        w.write_all(&ev.addr.index().to_le_bytes())?;
-        w.write_all(&ev.next_pc.index().to_le_bytes())?;
-        if let Some((_, reg, value)) = ev.dest {
-            w.write_all(&[reg.index()])?;
-            w.write_all(&value.to_le_bytes())?;
-        }
-        if let Some(mem) = ev.mem {
-            w.write_all(&mem.addr.to_le_bytes())?;
-            if mem.store {
-                w.write_all(&ev.stored.unwrap_or(0).to_le_bytes())?;
-            }
-        }
-    }
-    Ok(())
-}
-
 // --- varint / zigzag helpers -------------------------------------------
 
 fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
@@ -1020,31 +869,6 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
     }
 
     #[test]
-    fn columnar_format_is_smaller_than_legacy() {
-        let (_, events) = record(SAMPLE);
-        let mut v2 = Vec::new();
-        write_trace(&mut v2, &events).unwrap();
-        let mut v1 = Vec::new();
-        write_trace_legacy_v1(&mut v1, &events).unwrap();
-        assert!(
-            v2.len() < v1.len(),
-            "columnar spill ({}) not smaller than legacy ({})",
-            v2.len(),
-            v1.len()
-        );
-    }
-
-    #[test]
-    fn legacy_v1_format_reads_back() {
-        let (_, events) = record(SAMPLE);
-        let mut bytes = Vec::new();
-        write_trace_legacy_v1(&mut bytes, &events).unwrap();
-        assert_eq!(read_trace(bytes.as_slice()).unwrap(), events);
-        let trace = Trace::read_from(bytes.as_slice()).unwrap();
-        assert_eq!(trace, Trace::from_events(events));
-    }
-
-    #[test]
     fn replay_matches_live_tracing() {
         let (p, events) = record(SAMPLE);
         let mut live = InstrMix::new();
@@ -1080,17 +904,10 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
 
     #[test]
     fn absurd_length_prefixes_are_rejected_without_allocation() {
-        // v2: claim u64::MAX events, provide nothing.
+        // Claim u64::MAX events, provide nothing.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V2);
+        bytes.extend_from_slice(MAGIC);
         write_varint(&mut bytes, u64::MAX).unwrap();
-        let e = read_trace(bytes.as_slice()).unwrap_err();
-        assert!(matches!(e, TraceError::AbsurdLength { .. }), "{e}");
-
-        // v1: same attack on the legacy length prefix.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         let e = read_trace(bytes.as_slice()).unwrap_err();
         assert!(matches!(e, TraceError::AbsurdLength { .. }), "{e}");
     }
@@ -1100,7 +917,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         // A count below the absurdity limit but with no payload must fail
         // on the actual byte shortage, not pre-allocate count elements.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V2);
+        bytes.extend_from_slice(MAGIC);
         write_varint(&mut bytes, MAX_TRACE_EVENTS).unwrap(); // n
         write_varint(&mut bytes, 0).unwrap(); // n_dest
         write_varint(&mut bytes, 0).unwrap(); // n_mem
@@ -1114,7 +931,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         // One event whose flags claim a dest write, but a header that
         // promises zero dest entries.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V2);
+        bytes.extend_from_slice(MAGIC);
         write_varint(&mut bytes, 1).unwrap(); // n
         write_varint(&mut bytes, 0).unwrap(); // n_dest
         write_varint(&mut bytes, 0).unwrap(); // n_mem
@@ -1127,7 +944,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
     #[test]
     fn unknown_flag_bits_are_corrupt() {
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V2);
+        bytes.extend_from_slice(MAGIC);
         write_varint(&mut bytes, 1).unwrap();
         write_varint(&mut bytes, 0).unwrap();
         write_varint(&mut bytes, 0).unwrap();
@@ -1168,21 +985,6 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
             .any(|e| matches!(e.mem, Some(MemAccess { store: true, .. }))));
         assert!(events.iter().any(|e| e.taken == Some(true)));
         assert!(events.iter().any(|e| e.taken == Some(false)));
-    }
-
-    #[test]
-    fn current_format_is_v3_and_legacy_v2_reads_back() {
-        let (_, events) = record(SAMPLE);
-        let mut v3 = Vec::new();
-        write_trace(&mut v3, &events).unwrap();
-        assert_eq!(&v3[..8], MAGIC_V3);
-
-        let mut v2 = Vec::new();
-        write_columns_legacy_v2(&mut v2, &TraceColumns::from_events(&events)).unwrap();
-        assert_eq!(&v2[..8], MAGIC_V2);
-        assert_eq!(read_trace(v2.as_slice()).unwrap(), events);
-        // v3 = v2 body + 8-byte checksum trailer.
-        assert_eq!(v3.len(), v2.len() + 8);
     }
 
     #[test]

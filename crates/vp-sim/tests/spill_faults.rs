@@ -3,13 +3,13 @@
 //! surface as a typed [`TraceError`], never a panic and never silently
 //! wrong data.
 //!
-//! The current `provptr3` format carries an FNV-1a-64 checksum over its
-//! body precisely so this holds: without it, a bit flip in a delta-encoded
-//! value column decodes to plausible-but-wrong values. The legacy
-//! unchecksummed formats only guarantee "no panic".
+//! The `provptr3` format carries an FNV-1a-64 checksum over its body
+//! precisely so this holds: without it, a bit flip in a delta-encoded
+//! value column decodes to plausible-but-wrong values. The retired
+//! unchecksummed formats are not read at all.
 
 use vp_rng::prop;
-use vp_sim::record::{read_columns, write_columns, write_columns_legacy_v2};
+use vp_sim::record::{read_columns, write_columns};
 use vp_sim::{RunLimits, TraceColumns};
 use vp_sim::{Trace, TraceError};
 
@@ -116,24 +116,32 @@ fn prop_random_scribbles_never_panic_or_lie() {
     });
 }
 
-/// The legacy unchecksummed `provptr2` reader keeps its weaker guarantee:
-/// corrupted streams may decode to different data, but never panic.
+/// A file carrying a retired magic (`provptr1`, or the unchecksummed
+/// `provptr2` whose corrupted bodies used to decode to different data) is
+/// rejected as [`TraceError::BadMagic`] whatever its body holds.
 #[test]
-fn prop_legacy_v2_corruption_never_panics() {
+fn prop_legacy_magic_is_bad_magic_whatever_the_body() {
     let cols = sample_columns();
-    let mut pristine = Vec::new();
-    write_columns_legacy_v2(&mut pristine, &cols).unwrap();
-    prop::forall("legacy v2 scribbles never panic", |rng| {
-        (0..rng.gen_range(1..16usize))
+    let pristine = encode(&cols);
+    prop::forall("legacy magic is bad magic", |rng| {
+        let legacy: &[u8; 8] = if rng.gen_bool(0.5) {
+            b"provptr1"
+        } else {
+            b"provptr2"
+        };
+        let scribbles = (0..rng.gen_range(0..16usize))
             .map(|_| (rng.gen_u64(), rng.gen_range(1..=u8::MAX)))
-            .collect::<Vec<(u64, u8)>>()
+            .collect::<Vec<(u64, u8)>>();
+        (legacy, scribbles)
     })
-    .check(|scribbles| {
+    .check(|(legacy, scribbles)| {
         let mut bytes = pristine.clone();
+        bytes[..8].copy_from_slice(*legacy);
         for &(pos, xor) in scribbles {
-            let i = (pos % bytes.len() as u64) as usize;
+            let i = 8 + (pos % (bytes.len() - 8) as u64) as usize;
             bytes[i] ^= xor;
         }
-        let _ = read_columns(bytes.as_slice()); // Ok or Err, both fine.
+        let err = read_columns(bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, TraceError::BadMagic), "{err}");
     });
 }

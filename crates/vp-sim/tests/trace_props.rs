@@ -4,7 +4,7 @@
 
 use vp_isa::{InstrAddr, Reg, RegClass};
 use vp_rng::{prop, Rng};
-use vp_sim::record::{read_trace, write_trace, write_trace_legacy_v1, TraceEvent};
+use vp_sim::record::{read_trace, write_trace, TraceEvent};
 use vp_sim::{MemAccess, Trace, TraceError};
 
 fn arb_event(rng: &mut Rng) -> TraceEvent {
@@ -73,20 +73,21 @@ fn prop_truncation_is_detected() {
     });
 }
 
-/// Files written in the legacy fixed-width v1 format (`provptr1`) must
-/// keep reading back event-for-event through the current reader — on-disk
-/// trace caches written before the columnar format survive an upgrade.
+/// Files in the retired fixed-width v1 format (`provptr1`) are no longer
+/// read: whatever events they hold, the reader reports
+/// [`TraceError::BadMagic`], and an on-disk trace cache treats the file
+/// as a miss.
 #[test]
-fn prop_legacy_v1_spill_files_read_back() {
-    prop::forall("legacy v1 spill files read back", |rng| {
+fn prop_legacy_v1_magic_is_bad_magic() {
+    prop::forall("legacy v1 magic is bad magic", |rng| {
         arb_events(rng, 0, 120)
     })
     .check(|events| {
         let mut bytes = Vec::new();
-        write_trace_legacy_v1(&mut bytes, events).unwrap();
-        assert_eq!(&bytes[..8], b"provptr1");
-        let back = read_trace(bytes.as_slice()).unwrap();
-        assert_eq!(&back, events);
+        write_trace(&mut bytes, events).unwrap();
+        bytes[..8].copy_from_slice(b"provptr1");
+        let err = read_trace(bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, TraceError::BadMagic), "{err}");
     });
 }
 

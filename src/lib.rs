@@ -56,10 +56,9 @@ pub use vp_workloads as workloads;
 /// front-end, the [`ReplayRequest`] replay builder (batch over a captured
 /// [`Trace`] or bounded-memory streaming straight off the simulator),
 /// predictor configuration, workload selection and the run-manifest
-/// types. Deliberately excluded: the deprecated pre-`ReplayRequest`
-/// replay functions (use the builder) and crate internals — reach
-/// through the per-subsystem modules (`provp::sim`, `provp::predictor`,
-/// ...) when you need those.
+/// types. Deliberately excluded: crate internals — reach through the
+/// per-subsystem modules (`provp::sim`, `provp::predictor`, ...) when you
+/// need those.
 pub mod prelude {
     pub use provp_core::replay::stream::{DEFAULT_BLOCK_POOL, MIN_BLOCK_POOL};
     pub use provp_core::{
