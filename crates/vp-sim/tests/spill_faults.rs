@@ -145,3 +145,15 @@ fn prop_legacy_magic_is_bad_magic_whatever_the_body() {
         assert!(matches!(err, TraceError::BadMagic), "{err}");
     });
 }
+
+/// The bytes on disk are pinned: the sample trace's encoding, committed
+/// when the format was last touched, must be reproduced byte for byte and
+/// decode back to the sample. A codec rewrite that changes a single spill
+/// byte fails here, not only in a cross-process cache miss.
+#[test]
+fn sample_encoding_matches_the_golden_fixture() {
+    let golden: &[u8] = include_bytes!("data/sample.provptr3");
+    let cols = sample_columns();
+    assert_eq!(encode(&cols), golden, "provptr3 bytes changed");
+    assert_eq!(read_columns(golden).unwrap(), cols);
+}

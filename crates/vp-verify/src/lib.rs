@@ -12,7 +12,7 @@
 //!    cares about: loops, stride address arithmetic, data-dependent loads
 //!    and directive-tagged value producers.
 //! 2. **Reference implementations** ([`refsim`], [`refpred`],
-//!    [`refprof`], [`refilp`]) that are
+//!    [`refprof`], [`refilp`], [`refcodec`]) that are
 //!    deliberately simple — row-oriented, allocation-happy, map-based —
 //!    and therefore easy to audit against the instruction semantics in
 //!    `vp_sim::exec`, the predictor definitions in `vp_predictor`, the
@@ -36,6 +36,7 @@ pub mod coverage;
 pub mod fuzz;
 pub mod generate;
 pub mod oracle;
+pub mod refcodec;
 pub mod refilp;
 pub mod refpred;
 pub mod refprof;
@@ -47,6 +48,7 @@ pub use coverage::Coverage;
 pub use fuzz::{run_fuzz, FuzzOptions, FuzzReport};
 pub use generate::{gen_program, GenConfig};
 pub use oracle::{run_case, Divergence};
+pub use refcodec::{ref_read_columns, ref_write_columns};
 pub use refilp::RefIlpMachine;
 pub use refpred::ref_predict;
 pub use refprof::RefProfileCollector;
