@@ -1,11 +1,10 @@
 //! Micro-benchmarks for the analysis-side components that run over whole
 //! profile vectors and traces: the Section 4 metrics, decile histogram
-//! construction, profile-image merging and trace serialisation.
+//! construction, profile-image merging and the `provptr3` trace codec.
 
 use provp_bench::micro::Group;
 use vp_profile::{merge, ProfileCollector};
-use vp_sim::record::{read_trace, write_trace, TraceRecorder};
-use vp_sim::{run, RunLimits};
+use vp_sim::{run, RunLimits, Trace};
 use vp_stats::metrics::{average_distance, max_distance};
 use vp_stats::DecileHistogram;
 use vp_workloads::{InputSet, Workload, WorkloadKind};
@@ -48,28 +47,30 @@ fn bench_profile_merge() {
     });
 }
 
+/// The `provptr3` codec on the compress reference trace, as the trace
+/// store runs it: `Trace::write_to` into a reused buffer and
+/// `Trace::read_from` on the encoded bytes.
 fn bench_trace_io() {
     let w = Workload::new(WorkloadKind::Compress);
-    let program = w.program(&InputSet::train(0));
-    let mut rec = TraceRecorder::new();
-    let instructions = run(&program, &mut rec, RunLimits::default())
-        .unwrap()
-        .instructions();
-    let events = rec.into_events();
+    let trace = Trace::capture(&w.program(&InputSet::reference()), RunLimits::default()).unwrap();
     let mut bytes = Vec::new();
-    write_trace(&mut bytes, &events).unwrap();
+    trace.write_to(&mut bytes).unwrap();
     println!(
-        "trace-io: {instructions} events, {} bytes on disk",
+        "trace-io: compress reference, {} events, {} bytes on disk",
+        trace.len(),
         bytes.len()
     );
 
-    let mut group = Group::new("trace-io").samples(10);
+    let mut group = Group::new("trace-io")
+        .samples(10)
+        .per(trace.len() as u64, "event");
+    let mut out = Vec::with_capacity(bytes.len());
     group.bench("write", || {
-        let mut out = Vec::with_capacity(bytes.len());
-        write_trace(&mut out, &events).unwrap();
+        out.clear();
+        trace.write_to(&mut out).unwrap();
         out.len()
     });
-    group.bench("read", || read_trace(bytes.as_slice()).unwrap().len());
+    group.bench("read", || Trace::read_from(bytes.as_slice()).unwrap().len());
 }
 
 fn main() {

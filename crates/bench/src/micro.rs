@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 pub struct Group {
     name: String,
     samples: u32,
+    per: Option<(u64, &'static str)>,
 }
 
 impl Group {
@@ -31,6 +32,7 @@ impl Group {
         Group {
             name: name.into(),
             samples: 10,
+            per: None,
         }
     }
 
@@ -39,6 +41,15 @@ impl Group {
     pub fn samples(mut self, samples: u32) -> Self {
         assert!(samples > 0, "need at least one sample");
         self.samples = samples;
+        self
+    }
+
+    /// Also prints the mean time per item, for calls that each process
+    /// `items` units (e.g. `per(trace.len() as u64, "event")`).
+    #[must_use]
+    pub fn per(mut self, items: u64, unit: &'static str) -> Self {
+        assert!(items > 0, "need at least one item per call");
+        self.per = Some((items, unit));
         self
     }
 
@@ -54,8 +65,11 @@ impl Group {
         let min = *times.iter().min().expect("samples > 0");
         let max = *times.iter().max().expect("samples > 0");
         let mean = times.iter().sum::<Duration>() / self.samples;
+        let per = self.per.map_or(String::new(), |(items, unit)| {
+            format!(" | {:.1} ns/{unit}", mean.as_nanos() as f64 / items as f64)
+        });
         println!(
-            "{}/{id}: min {} | mean {} | max {} ({} samples)",
+            "{}/{id}: min {} | mean {} | max {}{per} ({} samples)",
             self.name,
             fmt(min),
             fmt(mean),
@@ -88,6 +102,9 @@ mod tests {
         let mut calls = 0u32;
         g.bench("noop", || calls += 1);
         assert_eq!(calls, 3); // warm-up + 2 samples
+        let mut g = Group::new("test").samples(1).per(100, "event");
+        g.bench("noop", || calls += 1);
+        assert_eq!(calls, 5);
     }
 
     #[test]

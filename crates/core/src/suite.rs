@@ -311,13 +311,18 @@ impl Suite {
         let workload = Workload::new(kind);
         let program = workload.program(input);
         let mut collector = ProfileCollector::new(format!("{}/{input}", workload.name()));
-        if input.is_reference() || self.traces.spill_dir().is_some() {
+        if input.is_reference() {
             // Reference traces have many consumers (profilers, predictor
-            // configurations, ILP models) and training traces become
-            // reusable across processes once a spill directory exists —
-            // worth memoising either way.
+            // configurations, ILP models): memoise them.
             self.traces
                 .replay_into(kind, *input, self.limits, &program, &mut collector)
+                .unwrap_or_else(|e| panic!("{e}"));
+        } else if self.traces.spill_dir().is_some() {
+            // A training trace has one consumer per process, but its spill
+            // file lets later processes skip the simulation: spill it (or
+            // read it back), replay it, and keep nothing resident.
+            self.traces
+                .replay_transient(kind, *input, self.limits, &program, &mut collector)
                 .unwrap_or_else(|e| panic!("{e}"));
         } else {
             // A training trace is consumed exactly once (its profile image

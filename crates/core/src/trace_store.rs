@@ -6,8 +6,9 @@
 //! and every ILP machine. A [`TraceStore`] runs the functional simulation
 //! **once** per key, keeps the retirement trace ([`vp_sim::Trace`]) in an
 //! in-memory LRU keyed by [`TraceKey`], and optionally spills traces to
-//! disk in the compact `vp_sim::record` binary format so later processes
-//! can skip the simulation entirely.
+//! disk in the compact `vp_sim::record` binary format (`provptr3`, one
+//! `write_all` per file, read back with one `fs::read` and a slice
+//! decode) so later processes can skip the simulation entirely.
 //!
 //! Correctness rests on one ISA property: prediction *directives* never
 //! change architectural semantics. A trace captured from the bare program
@@ -15,6 +16,17 @@
 //! variant of the same program, which is exactly the decoupling the
 //! evaluation needs — simulate once, then replay into profilers,
 //! predictors and the ILP machine under any annotation threshold.
+//!
+//! ## Residency
+//!
+//! [`TraceStore::get`] and [`TraceStore::replay_into`] make every trace
+//! they produce resident, for the next consumer. A trace with one consumer
+//! per process goes through [`TraceStore::replay_transient`] instead: it
+//! is captured and spilled, or decoded from its spill file, replayed, and
+//! dropped. `provp_core::Suite` does this for training inputs when it has
+//! a spill directory, so under `--trace-cache` only the reference traces
+//! stay in memory; each training trace is replayed once into its profile
+//! collector, whose image is what the suite memoises.
 //!
 //! The store is fully thread-safe: concurrent requests for the *same* key
 //! deduplicate in flight (one thread simulates, the rest wait on a
@@ -354,7 +366,7 @@ impl TraceStore {
             Err(claim) => {
                 let (trace, provenance) = self.load_or_capture(&key)?;
                 let trace = Arc::new(trace);
-                self.publish(claim, Arc::clone(&trace), provenance);
+                self.publish(claim, provenance, Some(Arc::clone(&trace)));
                 Ok(trace)
             }
         }
@@ -397,8 +409,45 @@ impl TraceStore {
                 // recording (`Trace::capture_with`); a disk hit replays.
                 let (trace, provenance) = self.load_or_capture_with(&key, program, tracer)?;
                 let trace = Arc::new(trace);
-                self.publish(claim, Arc::clone(&trace), provenance);
+                self.publish(claim, provenance, Some(Arc::clone(&trace)));
                 Ok(trace)
+            }
+        }
+    }
+
+    /// Replays the trace for `(kind, input, limits)` into `tracer` like
+    /// [`TraceStore::replay_into`], but never makes a trace it produces
+    /// resident: a capture is spilled (with a spill directory) and a
+    /// disk hit is decoded, replayed and dropped. This is for traces with
+    /// one consumer per process, such as training runs, whose spill file
+    /// is what later processes reuse.
+    ///
+    /// A resident trace is still served from memory, concurrent requests
+    /// for the key still wait for one producer, and every counter
+    /// advances as under [`TraceStore::replay_into`]. A waiter finds no
+    /// resident trace once the producer is done, so it produces again: a
+    /// disk hit with a spill directory, a second capture without one.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceStore::replay_into`].
+    pub fn replay_transient(
+        &self,
+        kind: WorkloadKind,
+        input: InputSet,
+        limits: RunLimits,
+        program: &Program,
+        tracer: &mut impl Tracer,
+    ) -> Result<(), TraceError> {
+        let key = TraceKey::new(kind, input, limits);
+        match self.lookup_or_claim(&key) {
+            Ok(trace) => trace
+                .replay(program, tracer)
+                .map_err(|source| TraceError::Replay { key, source }),
+            Err(claim) => {
+                let (_, provenance) = self.load_or_capture_with(&key, program, tracer)?;
+                self.publish(claim, provenance, None);
+                Ok(())
             }
         }
     }
@@ -438,14 +487,11 @@ impl TraceStore {
         }
     }
 
-    /// Inserts a freshly produced trace and releases the claim.
-    fn publish(&self, claim: InFlightGuard<'_>, trace: Arc<Trace>, provenance: Provenance) {
-        let bytes = trace.approx_bytes();
+    /// Counts a production, makes `trace` (if given) resident and releases
+    /// the claim.
+    fn publish(&self, claim: InFlightGuard<'_>, provenance: Provenance, trace: Option<Arc<Trace>>) {
         let key = claim.key;
         let mut state = self.state.lock().expect("trace store poisoned");
-        state.tick += 1;
-        let tick = state.tick;
-        state.bytes += bytes;
         match provenance {
             Provenance::Disk => state.counters.disk_hits += 1,
             Provenance::Captured {
@@ -457,15 +503,21 @@ impl TraceStore {
                 state.counters.spill_failures += u64::from(spill_failed);
             }
         }
-        state.entries.insert(
-            key,
-            Entry {
-                trace,
-                bytes,
-                last_used: tick,
-            },
-        );
-        self.evict_over_budget(&mut state, key);
+        if let Some(trace) = trace {
+            let bytes = trace.approx_bytes();
+            state.tick += 1;
+            let tick = state.tick;
+            state.bytes += bytes;
+            state.entries.insert(
+                key,
+                Entry {
+                    trace,
+                    bytes,
+                    last_used: tick,
+                },
+            );
+            self.evict_over_budget(&mut state, key);
+        }
         drop(state);
         drop(claim); // removes the in-flight mark and wakes waiters
     }
@@ -518,7 +570,7 @@ impl TraceStore {
         // One read syscall, then parse from the in-memory slice — much
         // faster than pulling the file through a buffered reader.
         let bytes = fs::read(&path).ok()?;
-        match Trace::read_from(bytes.as_slice()) {
+        match Trace::read_from(&bytes) {
             Ok(trace) => Some(trace),
             Err(_) => {
                 // Corrupt, truncated or stale-format spill file: drop it
@@ -548,11 +600,9 @@ impl TraceStore {
         }
         let tmp = dir.join(format!("{}.tmp", key.file_name()));
         let finished = dir.join(key.file_name());
+        // The encoder hands the whole file over in one `write_all`.
         let write = || -> io::Result<()> {
-            let mut out = io::BufWriter::new(fs::File::create(&tmp)?);
-            trace.write_to(&mut out)?;
-            io::Write::flush(&mut out)?;
-            drop(out);
+            trace.write_to(fs::File::create(&tmp)?)?;
             fs::rename(&tmp, &finished)
         };
         if write().is_err() {

@@ -1,11 +1,12 @@
 //! Unit tests for the trace store: cache hits must be indistinguishable
-//! from fresh simulation, the LRU byte budget must evict, and disk spill
-//! must round-trip across store instances.
+//! from fresh simulation, the LRU byte budget must evict, disk spill
+//! must round-trip across store instances, and single-use training traces
+//! must not stay resident under a spill directory.
 
 use std::sync::Arc;
 use std::thread;
 
-use provp_core::TraceStore;
+use provp_core::{Suite, TraceStore};
 use vp_profile::ProfileCollector;
 use vp_sim::{run, RunLimits};
 use vp_workloads::{InputSet, Workload, WorkloadKind};
@@ -166,4 +167,93 @@ fn concurrent_requests_simulate_once() {
     for t in &traces[1..] {
         assert_eq!(**t, *traces[0]);
     }
+}
+
+/// A fresh, empty directory under the system temp dir for one test.
+fn empty_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("provp-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Under a spill directory a training trace has one consumer per process
+/// (its profile image is memoised), so the suite spills it or reads it
+/// back without keeping it: only reference traces stay resident, and the
+/// counters of a cold and a warm pass are those of a memoising store.
+#[test]
+fn spill_suite_keeps_only_reference_traces_resident() {
+    let dir = empty_dir("suite-residency");
+    let kinds = [WorkloadKind::Compress, WorkloadKind::M88ksim];
+    let runs = u64::from(Suite::new().train_runs());
+    let per_kind = runs + 1;
+    let total = per_kind * kinds.len() as u64;
+
+    let cold = Suite::new().with_trace_dir(&dir);
+    let mut images = Vec::new();
+    for (done, kind) in (1..).zip(kinds) {
+        images.push((cold.train_images(kind), cold.reference_image(kind)));
+        assert_eq!(
+            cold.trace_stats().resident,
+            done,
+            "one reference trace per kind"
+        );
+    }
+    let stats = cold.trace_stats();
+    assert_eq!(stats.resident, kinds.len() as u64, "{stats:?}");
+    assert_eq!((stats.captures, stats.spills), (total, total), "{stats:?}");
+    assert_eq!((stats.requests, stats.misses), (total, total), "{stats:?}");
+    assert_eq!((stats.disk_hits, stats.spill_failures), (0, 0), "{stats:?}");
+    drop(cold);
+
+    let warm = Suite::new().with_trace_dir(&dir);
+    for (kind, (train, reference)) in kinds.into_iter().zip(&images) {
+        assert_eq!(&warm.train_images(kind), train);
+        assert_eq!(&warm.reference_image(kind), reference);
+    }
+    let stats = warm.trace_stats();
+    assert_eq!(stats.resident, kinds.len() as u64, "{stats:?}");
+    assert_eq!((stats.disk_hits, stats.captures), (total, 0), "{stats:?}");
+    assert_eq!((stats.requests, stats.misses), (total, total), "{stats:?}");
+    assert_eq!(stats.spills, 0, "{stats:?}");
+
+    // Without a spill directory nothing changes: training runs simulate
+    // straight into the collector and never reach the store.
+    let plain = Suite::new();
+    assert_eq!(&plain.train_images(kinds[0]), &images[0].0);
+    assert_eq!(plain.trace_stats().requests, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Concurrent transient replays of one key still wait for one producer:
+/// the second finds the spill file, so the key is captured once, and no
+/// trace is left resident.
+#[test]
+fn concurrent_transient_replays_capture_once() {
+    let dir = empty_dir("transient-dedupe");
+    let store = Arc::new(TraceStore::new().with_spill_dir(&dir));
+    let kind = WorkloadKind::Compress;
+    let input = InputSet::train(0);
+    let program = Workload::new(kind).program(&input);
+    let images: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (store, program) = (Arc::clone(&store), &program);
+                s.spawn(move || {
+                    let mut c = ProfileCollector::new("fresh");
+                    store
+                        .replay_transient(kind, input, RunLimits::default(), program, &mut c)
+                        .unwrap();
+                    c.into_image()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let stats = store.stats();
+    assert_eq!(stats.captures, 1, "in-flight dedup must hold: {stats:?}");
+    assert_eq!((stats.disk_hits, stats.spills), (1, 1), "{stats:?}");
+    assert_eq!((stats.resident, stats.resident_bytes), (0, 0), "{stats:?}");
+    let fresh = fresh_profile(kind, input);
+    assert!(images.iter().all(|image| *image == fresh));
+    let _ = std::fs::remove_dir_all(&dir);
 }
