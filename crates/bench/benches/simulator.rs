@@ -4,12 +4,11 @@
 //! the path the `TraceStore` substitutes for re-simulation.
 
 use provp_bench::micro::Group;
-use provp_core::PredictorTracer;
 use vp_ilp::{IlpAnalyzer, IlpConfig};
 use vp_predictor::PredictorConfig;
 use vp_profile::ProfileCollector;
 use vp_sim::record::Trace;
-use vp_sim::{run, NullTracer, RunLimits};
+use vp_sim::{run, FnTracer, NullTracer, Retirement, RunLimits};
 use vp_workloads::{InputSet, Workload, WorkloadKind};
 
 fn main() {
@@ -44,9 +43,16 @@ fn main() {
         collector.into_image().len()
     });
     group.bench("predictor-tracer", || {
-        let mut t = PredictorTracer::new(PredictorConfig::spec_table_stride_fsm().build());
+        // Per-event glue: every value-producing retirement goes to the
+        // predictor as the simulator retires it.
+        let mut predictor = PredictorConfig::spec_table_stride_fsm().build();
+        let mut t = FnTracer::new(|ev: &Retirement<'_>| {
+            if let Some((_, _, value)) = ev.dest {
+                predictor.access(ev.addr, ev.instr.directive, value);
+            }
+        });
         run(&program, &mut t, RunLimits::default()).unwrap();
-        t.into_stats().speculated_correct
+        predictor.stats().speculated_correct
     });
     group.bench("ilp-analyzer", || {
         let mut a = IlpAnalyzer::new(IlpConfig::paper_vp_fsm());

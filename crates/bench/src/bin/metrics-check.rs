@@ -14,9 +14,9 @@
 //!               [--max-peak-rss-regression=0.25]
 //! ```
 //!
-//! Accepts every manifest schema version (v1 aggregates-only, v2 with
-//! the `samples` series, v3 with the `attribution` array, v4 with the
-//! `profile` section) and both flag forms (`--flag=V` and `--flag V`).
+//! Accepts manifests with or without their optional sections (the
+//! `samples` series, the `attribution` array, the `profile` section) and
+//! both flag forms (`--flag=V` and `--flag V`).
 //!
 //! Besides the simulator-throughput gate, `--phase=` (repeatable) gates
 //! the wall time of individual span paths: the current manifest's
@@ -26,8 +26,8 @@
 //! a phase absent from the *current* manifest is a usage error (exit 2)
 //! because the gate was asked to check something the run never measured.
 //!
-//! `--max-phase-share-regression=F` gates the *profile* section (v4
-//! manifests, runs invoked with `--profile-hz=`): no profiled phase's
+//! `--max-phase-share-regression=F` gates the *profile* section (runs
+//! invoked with `--profile-hz=`): no profiled phase's
 //! share of wall-time samples (`total_share`) may grow by more than `F`
 //! (an absolute fraction, e.g. `0.15` = 15 percentage points) over the
 //! baseline's. A phase absent from the baseline profile counts as share
@@ -231,7 +231,7 @@ fn peak_rss(m: &RunManifest) -> Option<u64> {
 
 /// Run-wide effective prediction accuracy from a manifest's counters
 /// (`None` when the run recorded no speculated predictions — e.g. a
-/// pre-v3 baseline whose counters predate the accuracy gate).
+/// baseline whose counters predate the accuracy gate).
 fn effective_accuracy(m: &RunManifest) -> Option<f64> {
     let speculated = *m.counters.get("predictor.speculated")?;
     let correct = *m.counters.get("predictor.speculated_correct")?;

@@ -11,9 +11,10 @@
 //! across runs when given), then replays it repeatedly through the §5.2
 //! hardware-baseline predictor four ways:
 //!
-//! - `aos`: materialised `Vec<TraceEvent>` through the full retirement
-//!   tracer glue (the pre-columnar path),
-//! - `columnar-replay`: the columnar trace through the same tracer glue
+//! - `aos`: materialised `Vec<TraceEvent>` through a per-retirement
+//!   tracer that feeds each value to the predictor (the pre-columnar
+//!   path),
+//! - `columnar-replay`: the columnar trace through the same tracer
 //!   (reconstruction cost without the `Vec<TraceEvent>` materialisation),
 //! - `columnar-1shard`: the sequential value-event scan of a
 //!   [`provp_core::ReplayRequest`],
@@ -36,11 +37,21 @@ use std::sync::Arc;
 
 use provp_bench::args;
 use provp_bench::micro::{black_box, Group};
-use provp_core::{PredictorTracer, ReplayRequest, SweepPlan, TraceStore};
+use provp_core::{ReplayRequest, SweepPlan, TraceStore};
 use vp_obs::obs_error;
-use vp_predictor::{ClassifierKind, PredictorConfig, TableGeometry};
-use vp_sim::{replay, RunLimits, Trace, TraceEvent};
+use vp_predictor::{ClassifierKind, PredictorConfig, TableGeometry, ValuePredictor};
+use vp_sim::{replay, FnTracer, Retirement, RunLimits, Trace, TraceEvent, Tracer};
 use vp_workloads::{InputSet, Workload, WorkloadKind};
+
+/// The per-event baseline: a tracer that hands every value-producing
+/// retirement to `predictor`, one call per event.
+fn feed(predictor: &mut dyn ValuePredictor) -> impl Tracer + '_ {
+    FnTracer::new(move |ev: &Retirement<'_>| {
+        if let Some((_, _, value)) = ev.dest {
+            predictor.access(ev.addr, ev.instr.directive, value);
+        }
+    })
+}
 
 /// The sweep-matrix cells of the comparison group: the §5.2 baseline
 /// plus the scheme/capacity ablation configurations, all sharing the
@@ -147,8 +158,8 @@ fn main() {
     };
 
     // Cross-check first: every variant must produce identical statistics.
-    let mut aos = PredictorTracer::new(config.build());
-    replay(&program, &events, &mut aos).expect("aos replay");
+    let mut aos = config.build();
+    replay(&program, &events, &mut feed(aos.as_mut())).expect("aos replay");
     let baseline = *aos.stats();
     for shards in [1usize, 2, 4, 8] {
         let out = single(shards, jobs);
@@ -160,16 +171,16 @@ fn main() {
 
     let mut group = Group::new("replay").samples(10);
     group.bench("aos", || {
-        let mut tracer = PredictorTracer::new(config.build());
-        replay(&program, &events, &mut tracer).expect("aos replay");
-        black_box(tracer.stats().hits)
+        let mut predictor = config.build();
+        replay(&program, &events, &mut feed(predictor.as_mut())).expect("aos replay");
+        black_box(predictor.stats().hits)
     });
     group.bench("columnar-replay", || {
-        let mut tracer = PredictorTracer::new(config.build());
+        let mut predictor = config.build();
         trace
-            .replay(&program, &mut tracer)
+            .replay(&program, &mut feed(predictor.as_mut()))
             .expect("columnar replay");
-        black_box(tracer.stats().hits)
+        black_box(predictor.stats().hits)
     });
     group.bench("columnar-1shard", || black_box(single(1, 1).stats.hits));
     for shards in [2usize, 4, 8] {

@@ -43,20 +43,19 @@
 //!                            Perfetto or chrome://tracing) after the run
 //! --sample-ms=N              snapshot every counter/gauge every N ms on
 //!                            a background thread and embed the series as
-//!                            the `samples` array of a
-//!                            `provp-run-manifest/v2` manifest
+//!                            the `samples` array of the run
+//!                            manifest
 //! --attribution              classify every predictor misprediction by
 //!                            per-PC cause and embed the result as the
-//!                            `attribution` array of a
-//!                            `provp-run-manifest/v3` manifest (see
-//!                            OBSERVABILITY.md)
+//!                            `attribution` array of the run
+//!                            manifest (see OBSERVABILITY.md)
 //! --attribution-top=N        PCs exported per attributed run, hottest
 //!                            mispredictors first (default 20; 0 = all)
 //! --profile-hz=N             sample every thread's open-span stack N
 //!                            times per second on a background profiler
 //!                            thread and embed the folded result as the
-//!                            `profile` section of a
-//!                            `provp-run-manifest/v4` manifest
+//!                            `profile` section of the run
+//!                            manifest
 //! --profile-out=FILE         write the collapsed-stack samples to FILE
 //!                            (`a;b;c <count>` lines) plus a rendered
 //!                            flamegraph SVG next to it (FILE with a
@@ -105,16 +104,16 @@ pub struct Options {
     /// anywhere (also enables the in-memory event ring).
     pub trace_out: Option<PathBuf>,
     /// Mid-run registry sampling cadence in milliseconds, if sampling
-    /// was requested (promotes the manifest to schema v2).
+    /// was requested (fills the manifest's `samples` section).
     pub sample_ms: Option<u64>,
-    /// Whether to collect per-PC misprediction attribution (promotes the
-    /// manifest to schema v3). Observation-only: stdout stays
+    /// Whether to collect per-PC misprediction attribution (fills the
+    /// manifest's `attribution` section). Observation-only: stdout stays
     /// byte-identical either way.
     pub attribution: bool,
     /// PCs exported per attributed run (0 = all).
     pub attribution_top: usize,
     /// Span-stack sampling cadence in Hz, if profiling was requested
-    /// (promotes the manifest to schema v4). Observation-only: stdout
+    /// (fills the manifest's `profile` section). Observation-only: stdout
     /// stays byte-identical either way.
     pub profile_hz: Option<u32>,
     /// Where to write the collapsed-stack profile (and, next to it, the

@@ -7,7 +7,7 @@
 //! (a [`crate::replay::ReplayRequest`] with attribution on) and [`record`]s one
 //! [`AttributionRun`] per `(workload, config, threshold)` replay. At exit
 //! the bench harness [`drain`]s the sink into the run manifest's
-//! `attribution` array (`provp-run-manifest/v3`).
+//! `attribution` array.
 //!
 //! Runs may be recorded from [`crate::Suite::par_map`] worker threads in
 //! any interleaving; [`drain`] sorts them under a deterministic total

@@ -3,11 +3,12 @@
 //! # provp-core — end-to-end experiment pipelines
 //!
 //! Ties the workspace together: the three-phase methodology of the paper
-//! ([`pipeline::ProfileGuidedPipeline`]) and one runner per table/figure of
-//! its evaluation ([`experiments`]).
+//! and one runner per table/figure of its evaluation ([`experiments`]).
 //!
 //! | Paper artifact | runner |
 //! |---|---|
+//! | Section 3 (compile, profile and merge, annotate) | [`Suite`]: `train_images` → `merged_image` → `annotated` → `reference_program` |
+//! | A predictor over a workload's reference input | [`Suite::predictor_stats`] / [`Suite::predictor_stats_matrix`], or [`ReplayRequest`] over any trace |
 //! | Table 2.1 (predictor accuracy by category) | [`experiments::table_2_1`] |
 //! | Figure 2.2 (accuracy distribution) | [`experiments::fig_2_2`] |
 //! | Figure 2.3 (stride-efficiency distribution) | [`experiments::fig_2_3`] |
@@ -28,15 +29,11 @@
 pub mod attribution;
 pub mod exec;
 pub mod experiments;
-pub mod harness;
-pub mod pipeline;
 pub mod replay;
 pub mod suite;
 pub mod trace_store;
 
 pub use exec::parallel_map;
-pub use harness::PredictorTracer;
-pub use pipeline::{PipelineConfig, PipelineError, PipelineOutcome, ProfileGuidedPipeline};
 pub use replay::{
     auto_shards, MatrixCell, ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse,
     ReplaySource, SweepPlan,

@@ -706,6 +706,15 @@ mod tests {
             },
         ] {
             let seq = single_outcome(&trace, &p, &config, 1, 1);
+            // Only value producers reach the predictor: the 2 li and the
+            // 200 addi and add, not the 200 bne or the halt.
+            assert_eq!(seq.stats.accesses, 402, "{}", config.label());
+            if config == PredictorConfig::spec_table_stride_profile() {
+                // Under directives only the tagged addi.st allocates,
+                // and its stride is learned within a few iterations.
+                assert_eq!(seq.stats.allocations, 1);
+                assert!(seq.stats.speculated_correct >= 197, "{}", seq.stats);
+            }
             for shards in [2usize, 3, 4, 8] {
                 for jobs in [1usize, 4] {
                     let par = single_outcome(&trace, &p, &config, shards, jobs);

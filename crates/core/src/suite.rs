@@ -48,57 +48,6 @@ struct CellResult {
     attribution: Option<Arc<AttributionTable>>,
 }
 
-/// The per-trace sweep memo: like [`Memo`], but claims are made in
-/// *batches* so one fused [`ReplayRequest`] pass computes every missing
-/// cell of a request at once.
-struct SweepMemo {
-    state: Mutex<SweepState>,
-    available: Condvar,
-}
-
-struct SweepState {
-    done: HashMap<CellKey, CellResult>,
-    running: HashSet<CellKey>,
-    /// Kinds whose reference trace has been matrix-replayed at least
-    /// once (drives the `replay.matrix_traces` counter, the denominator
-    /// of the CI `matrix_passes per trace` gate).
-    swept: HashSet<WorkloadKind>,
-}
-
-impl SweepMemo {
-    fn new() -> Self {
-        SweepMemo {
-            state: Mutex::new(SweepState {
-                done: HashMap::new(),
-                running: HashSet::new(),
-                swept: HashSet::new(),
-            }),
-            available: Condvar::new(),
-        }
-    }
-}
-
-/// Clears a batch of running marks even if the compute panicked, so
-/// waiters retry (re-claim) instead of deadlocking.
-struct SweepRunningGuard<'a> {
-    memo: &'a SweepMemo,
-    keys: Vec<CellKey>,
-}
-
-impl Drop for SweepRunningGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = match self.memo.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for key in &self.keys {
-            state.running.remove(key);
-        }
-        drop(state);
-        self.memo.available.notify_all();
-    }
-}
-
 /// A thread-safe get-or-compute cache with in-flight deduplication: when
 /// two threads request the same missing key, one computes while the other
 /// waits, and the value is computed without holding the lock.
@@ -123,34 +72,70 @@ impl<K: Eq + Hash + Copy, V: Clone> Memo<K, V> {
         }
     }
 
-    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        {
-            let mut state = self.state.lock().expect("memo poisoned");
-            loop {
-                if let Some(v) = state.done.get(&key) {
-                    return v.clone();
+    fn get_or_compute(&self, key: K, mut compute: impl FnMut() -> V) -> V {
+        self.get_or_compute_all(&[key], |_| vec![compute()])
+            .pop()
+            .expect("one key returns one value")
+    }
+
+    /// Batch get-or-compute: claims every key of `keys` that nobody has
+    /// computed or claimed, computes the claimed keys with one `compute`
+    /// call (which returns their values in order), and waits for keys
+    /// claimed by other threads. Returns the values in `keys` order;
+    /// duplicate keys are computed once. Panic-safe: a claimer that dies
+    /// releases its claims and waiters re-claim.
+    fn get_or_compute_all(&self, keys: &[K], mut compute: impl FnMut(&[K]) -> Vec<V>) -> Vec<V> {
+        let mut values: Vec<Option<V>> = vec![None; keys.len()];
+        loop {
+            // Under the lock: harvest finished keys, then claim every
+            // remaining key that is neither done nor running. Wait only
+            // when something is missing and there is nothing to claim.
+            let mut claimed = Vec::new();
+            {
+                let mut state = self.state.lock().expect("memo poisoned");
+                loop {
+                    let mut missing = false;
+                    for (value, key) in values.iter_mut().zip(keys) {
+                        if value.is_some() {
+                            continue;
+                        }
+                        if let Some(v) = state.done.get(key) {
+                            *value = Some(v.clone());
+                            continue;
+                        }
+                        missing = true;
+                        if state.running.insert(*key) {
+                            claimed.push(*key);
+                        }
+                    }
+                    if !missing {
+                        return values.into_iter().map(|v| v.expect("filled")).collect();
+                    }
+                    if !claimed.is_empty() {
+                        break;
+                    }
+                    state = self.available.wait(state).expect("memo poisoned");
                 }
-                if state.running.insert(key) {
-                    break;
-                }
-                state = self.available.wait(state).expect("memo poisoned");
             }
+            let guard = RunningGuard {
+                memo: self,
+                keys: claimed,
+            };
+            let computed = compute(&guard.keys);
+            assert_eq!(computed.len(), guard.keys.len(), "one value per claim");
+            let mut state = self.state.lock().expect("memo poisoned");
+            state.done.extend(guard.keys.iter().copied().zip(computed));
+            drop(state);
+            drop(guard);
         }
-        let guard = RunningGuard { memo: self, key };
-        let value = compute();
-        let mut state = self.state.lock().expect("memo poisoned");
-        state.done.insert(key, value.clone());
-        drop(state);
-        drop(guard);
-        value
     }
 }
 
-/// Clears the running mark even if `compute` panicked, so waiters retry
-/// instead of deadlocking.
+/// Clears a batch of running marks even if the compute panicked, so
+/// waiters retry (re-claim) instead of deadlocking.
 struct RunningGuard<'a, K: Eq + Hash + Copy, V: Clone> {
     memo: &'a Memo<K, V>,
-    key: K,
+    keys: Vec<K>,
 }
 
 impl<K: Eq + Hash + Copy, V: Clone> Drop for RunningGuard<'_, K, V> {
@@ -159,7 +144,9 @@ impl<K: Eq + Hash + Copy, V: Clone> Drop for RunningGuard<'_, K, V> {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        state.running.remove(&self.key);
+        for key in &self.keys {
+            state.running.remove(key);
+        }
         drop(state);
         self.memo.available.notify_all();
     }
@@ -183,11 +170,9 @@ pub struct Suite {
     reference_images: Memo<WorkloadKind, ProfileImage>,
     phase_images: Memo<WorkloadKind, (ProfileImage, ProfileImage)>,
     annotated: Memo<(WorkloadKind, u32), (Program, AnnotationSummary)>,
-    sweep: SweepMemo,
-    /// Kinds whose reference trace has fed at least one ILP pass (drives
-    /// the `ilp.traces` counter, the denominator of the CI
-    /// `ilp passes per trace` gate).
-    ilp_traced: Mutex<HashSet<WorkloadKind>>,
+    sweep: Memo<CellKey, CellResult>,
+    /// `(counter, kind)` pairs already counted by [`Suite::count_first_pass`].
+    first_passes: Mutex<HashSet<(&'static str, WorkloadKind)>>,
 }
 
 impl Suite {
@@ -212,8 +197,8 @@ impl Suite {
             reference_images: Memo::new(),
             phase_images: Memo::new(),
             annotated: Memo::new(),
-            sweep: SweepMemo::new(),
-            ilp_traced: Mutex::new(HashSet::new()),
+            sweep: Memo::new(),
+            first_passes: Mutex::new(HashSet::new()),
         }
     }
 
@@ -230,14 +215,6 @@ impl Suite {
     #[must_use]
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.traces = Arc::new(TraceStore::new().with_spill_dir(dir));
-        self
-    }
-
-    /// Replaces the trace store wholesale (to share one across suites or
-    /// to bound its memory differently).
-    #[must_use]
-    pub fn with_trace_store(mut self, traces: Arc<TraceStore>) -> Self {
-        self.traces = traces;
         self
     }
 
@@ -518,11 +495,9 @@ impl Suite {
         });
     }
 
-    /// Batch get-or-compute over the sweep memo: claims every cell of the
-    /// request that nobody has computed or claimed, computes the claimed
-    /// set with one fused matrix pass, and waits for cells claimed by
-    /// other threads. Panic-safe: a claimer that dies releases its claims
-    /// and waiters re-claim.
+    /// The sweep cells of `kind`, memoised: the cells nobody has computed
+    /// or claimed are computed by one fused matrix pass, and cells claimed
+    /// by other threads are waited for.
     fn sweep_cells(
         &self,
         kind: WorkloadKind,
@@ -532,62 +507,30 @@ impl Suite {
             .iter()
             .map(|&(config, th)| (kind, config, th.map(th_key)))
             .collect();
-        let mut results: Vec<Option<CellResult>> = vec![None; cells.len()];
-        loop {
-            // Under the lock: harvest finished cells, then claim every
-            // remaining cell that is neither done nor running. Wait only
-            // when something is missing and there is nothing to claim.
-            let mut claimed: Vec<usize> = Vec::new();
-            {
-                let mut state = self.sweep.state.lock().expect("sweep memo poisoned");
-                loop {
-                    claimed.clear();
-                    let mut all_done = true;
-                    let mut claiming: HashSet<CellKey> = HashSet::new();
-                    for (i, key) in keys.iter().enumerate() {
-                        if results[i].is_some() {
-                            continue;
-                        }
-                        if let Some(v) = state.done.get(key) {
-                            results[i] = Some(v.clone());
-                            continue;
-                        }
-                        all_done = false;
-                        if claiming.contains(key) {
-                            continue;
-                        }
-                        if state.running.insert(*key) {
-                            claiming.insert(*key);
-                            claimed.push(i);
-                        }
-                    }
-                    if all_done {
-                        return results.into_iter().map(|r| r.expect("filled")).collect();
-                    }
-                    if !claimed.is_empty() {
-                        break;
-                    }
-                    state = self
-                        .sweep
-                        .available
-                        .wait(state)
-                        .expect("sweep memo poisoned");
-                }
-            }
-            let guard = SweepRunningGuard {
-                memo: &self.sweep,
-                keys: claimed.iter().map(|&i| keys[i]).collect(),
-            };
-            let plan_cells: Vec<(PredictorConfig, Option<f64>)> =
-                claimed.iter().map(|&i| cells[i]).collect();
-            let computed = self.compute_matrix(kind, &plan_cells);
-            let mut state = self.sweep.state.lock().expect("sweep memo poisoned");
-            for (&i, result) in claimed.iter().zip(&computed) {
-                state.done.insert(keys[i], result.clone());
-                results[i] = Some(result.clone());
-            }
-            drop(state);
-            drop(guard);
+        // A claimed key's cell as requested, with its unrounded threshold.
+        let cell_of = |key: &CellKey| {
+            cells[keys
+                .iter()
+                .position(|k| k == key)
+                .expect("claimed from keys")]
+        };
+        self.sweep.get_or_compute_all(&keys, |claimed| {
+            let plan_cells: Vec<_> = claimed.iter().map(cell_of).collect();
+            self.compute_matrix(kind, &plan_cells)
+        })
+    }
+
+    /// Adds 1 to `counter` the first time it is called for `kind`: the
+    /// per-trace denominators (`replay.matrix_traces`, `ilp.traces`) of
+    /// the CI passes-per-trace gates.
+    fn count_first_pass(&self, counter: &'static str, kind: WorkloadKind) {
+        let first = self
+            .first_passes
+            .lock()
+            .expect("first-pass set poisoned")
+            .insert((counter, kind));
+        if first {
+            vp_obs::counter(counter).add(1);
         }
     }
 
@@ -608,12 +551,7 @@ impl Suite {
         for (&(config, _), table) in cells.iter().zip(tables) {
             plan.add_cell(config, table);
         }
-        {
-            let mut state = self.sweep.state.lock().expect("sweep memo poisoned");
-            if state.swept.insert(kind) {
-                vp_obs::counter("replay.matrix_traces").add(1);
-            }
-        }
+        self.count_first_pass("replay.matrix_traces", kind);
         let replay_panic = |source| -> ! {
             panic!(
                 "{}",
@@ -701,14 +639,7 @@ impl Suite {
         for ((config, _), table) in machines.iter().zip(tables) {
             plan.add_machine(config.clone(), table);
         }
-        if self
-            .ilp_traced
-            .lock()
-            .expect("ilp trace set poisoned")
-            .insert(kind)
-        {
-            vp_obs::counter("ilp.traces").add(1);
-        }
+        self.count_first_pass("ilp.traces", kind);
         let mut bank = plan.into_bank();
         vp_obs::counter("ilp.passes").add(1);
         vp_obs::counter("ilp.machines_requested").add(bank.requests() as u64);
@@ -785,6 +716,11 @@ mod tests {
         let (_, strict) = s.annotated(WorkloadKind::Ijpeg, 0.9);
         let (_, lax) = s.annotated(WorkloadKind::Ijpeg, 0.5);
         assert!(lax.tagged() >= strict.tagged());
+        // At 90% ijpeg's loop machinery is tagged stride, while its sample
+        // loads and accumulations stay below the threshold.
+        assert!(strict.stride_tagged >= 5, "{strict}");
+        assert!(strict.below_threshold > 0, "{strict}");
+        assert!(strict.tagged() < strict.producers());
     }
 
     #[test]

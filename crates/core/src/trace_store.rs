@@ -56,7 +56,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
 use vp_isa::Program;
-use vp_sim::{RunLimits, SimError, Trace, Tracer};
+use vp_sim::{NullTracer, RunLimits, SimError, Trace, Tracer};
 use vp_workloads::{InputSet, Workload, WorkloadKind};
 
 /// Identity of one memoised simulation.
@@ -328,22 +328,6 @@ impl TraceStore {
         }
     }
 
-    /// Number of traces currently resident in memory.
-    #[must_use]
-    pub fn resident(&self) -> usize {
-        self.state
-            .lock()
-            .expect("trace store poisoned")
-            .entries
-            .len()
-    }
-
-    /// Approximate bytes currently resident in memory.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.state.lock().expect("trace store poisoned").bytes
-    }
-
     /// The retirement trace of `kind` under `input` and `limits`,
     /// simulating at most once per key per process (and, with a spill
     /// directory, at most once ever).
@@ -364,7 +348,9 @@ impl TraceStore {
         match self.lookup_or_claim(&key) {
             Ok(trace) => Ok(trace),
             Err(claim) => {
-                let (trace, provenance) = self.load_or_capture(&key)?;
+                let program = Workload::new(kind).program(&input);
+                let (trace, provenance) =
+                    self.load_or_capture_with(&key, &program, &mut NullTracer)?;
                 let trace = Arc::new(trace);
                 self.publish(claim, provenance, Some(Arc::clone(&trace)));
                 Ok(trace)
@@ -407,7 +393,7 @@ impl TraceStore {
             Err(claim) => {
                 // Simulate once, feeding the caller's tracer while
                 // recording (`Trace::capture_with`); a disk hit replays.
-                let (trace, provenance) = self.load_or_capture_with(&key, program, tracer)?;
+                let (trace, provenance) = self.produce_into(&key, program, tracer)?;
                 let trace = Arc::new(trace);
                 self.publish(claim, provenance, Some(Arc::clone(&trace)));
                 Ok(trace)
@@ -445,7 +431,7 @@ impl TraceStore {
                 .replay(program, tracer)
                 .map_err(|source| TraceError::Replay { key, source }),
             Err(claim) => {
-                let (_, provenance) = self.load_or_capture_with(&key, program, tracer)?;
+                let (_, provenance) = self.produce_into(&key, program, tracer)?;
                 self.publish(claim, provenance, None);
                 Ok(())
             }
@@ -522,8 +508,26 @@ impl TraceStore {
         drop(claim); // removes the in-flight mark and wakes waiters
     }
 
-    /// Loads from the spill directory (replaying into `tracer` if given)
-    /// or captures by simulation, feeding `tracer` during the pass.
+    /// [`TraceStore::load_or_capture_with`], then replays a disk hit into
+    /// `tracer`, so `tracer` sees every retirement either way.
+    fn produce_into(
+        &self,
+        key: &TraceKey,
+        program: &Program,
+        tracer: &mut impl Tracer,
+    ) -> Result<(Trace, Provenance), TraceError> {
+        let (trace, provenance) = self.load_or_capture_with(key, program, tracer)?;
+        if let Provenance::Disk = provenance {
+            trace
+                .replay(program, tracer)
+                .map_err(|source| TraceError::Replay { key: *key, source })?;
+        }
+        Ok((trace, provenance))
+    }
+
+    /// Loads from the spill directory, or captures by simulating
+    /// `program`, feeding `tracer` during the pass. A disk hit is
+    /// returned without replaying it.
     fn load_or_capture_with(
         &self,
         key: &TraceKey,
@@ -532,32 +536,12 @@ impl TraceStore {
     ) -> Result<(Trace, Provenance), TraceError> {
         if let Some(trace) = self.try_disk_load(key) {
             vp_obs::events::instant("trace_store.disk_hit", trace.approx_bytes() as u64);
-            trace
-                .replay(program, tracer)
-                .map_err(|source| TraceError::Replay { key: *key, source })?;
             return Ok((trace, Provenance::Disk));
         }
         let limits = RunLimits::with_max(key.max_instructions);
         let trace = {
             let _span = vp_obs::span("capture");
             Trace::capture_with(program, limits, tracer)
-                .map_err(|source| TraceError::Capture { key: *key, source })?
-        };
-        let provenance = self.try_disk_store(key, &trace);
-        Ok((trace, provenance))
-    }
-
-    /// Loads from the spill directory or captures by simulation.
-    fn load_or_capture(&self, key: &TraceKey) -> Result<(Trace, Provenance), TraceError> {
-        if let Some(trace) = self.try_disk_load(key) {
-            vp_obs::events::instant("trace_store.disk_hit", trace.approx_bytes() as u64);
-            return Ok((trace, Provenance::Disk));
-        }
-        let program = Workload::new(key.kind).program(&key.input);
-        let limits = RunLimits::with_max(key.max_instructions);
-        let trace = {
-            let _span = vp_obs::span("capture");
-            Trace::capture(&program, limits)
                 .map_err(|source| TraceError::Capture { key: *key, source })?
         };
         let provenance = self.try_disk_store(key, &trace);

@@ -63,9 +63,13 @@ fn lru_evicts_oldest_when_over_budget() {
     let b = (WorkloadKind::Compress, InputSet::train(1));
 
     store.get(a.0, a.1, limits).unwrap();
-    assert_eq!(store.resident(), 1);
+    assert_eq!(store.stats().resident, 1);
     store.get(b.0, b.1, limits).unwrap();
-    assert_eq!(store.resident(), 1, "budget of 1 byte keeps a single trace");
+    assert_eq!(
+        store.stats().resident,
+        1,
+        "budget of 1 byte keeps a single trace"
+    );
     let stats = store.stats();
     assert_eq!(stats.captures, 2);
     assert_eq!(stats.evictions, 1);
@@ -87,9 +91,10 @@ fn lru_keeps_recently_used_entries_under_budget() {
             .get(WorkloadKind::Compress, InputSet::train(i), limits)
             .unwrap();
     }
-    assert_eq!(store.resident(), 3);
-    assert_eq!(store.stats().evictions, 0);
-    assert!(store.resident_bytes() > 0);
+    let stats = store.stats();
+    assert_eq!(stats.resident, 3);
+    assert_eq!(stats.evictions, 0);
+    assert!(stats.resident_bytes > 0);
 }
 
 #[test]

@@ -16,18 +16,17 @@
 //! - [`ManifestDiff::to_json`] — machine-readable, for downstream
 //!   tooling.
 //!
-//! The diff accepts any mix of v1/v2/v3/v4 manifests (samples do not
-//! participate in the diff; they exist to localise a regression *within*
-//! one run, whereas the diff localises it *between* runs). When both
-//! sides carry v3 `attribution` runs, the diff additionally blames
-//! accuracy movement on specific PCs and misprediction causes: replays
-//! are matched by workload × config × threshold and each matched pair
-//! contributes per-PC raw-accuracy deltas over the union of the two
-//! top-K lists. When both sides carry a v4 `profile` section, the diff
-//! blames sample-share movement per phase ("phase X went from 12% to
-//! 31% of samples"). Version skew between the two sides is never an
-//! error: the diff downgrades to the sections both carry and records
-//! the skew in [`ManifestDiff::schema_skew`] so callers can warn.
+//! The diff accepts any two manifests, with or without their optional
+//! sections (samples do not participate in the diff; they exist to
+//! localise a regression *within* one run, whereas the diff localises it
+//! *between* runs). When both sides carry `attribution` runs, the diff
+//! additionally blames accuracy movement on specific PCs and
+//! misprediction causes: replays are matched by workload × config ×
+//! threshold and each matched pair contributes per-PC raw-accuracy
+//! deltas over the union of the two top-K lists. When both sides carry a
+//! `profile` section, the diff blames sample-share movement per phase
+//! ("phase X went from 12% to 31% of samples"). A section only one side
+//! carries is skipped, never an error.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -127,7 +126,7 @@ impl AttributionDelta {
     }
 }
 
-/// One profiled phase's sample-share movement between two v4 manifests.
+/// One profiled phase's sample-share movement between two manifests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseShareDelta {
     /// Slash-separated span path.
@@ -178,17 +177,13 @@ pub struct ManifestDiff {
     pub gauges: Vec<CounterDelta>,
     /// Derived-rate movement.
     pub rates: Vec<RateDelta>,
-    /// Per-replay accuracy blame (v3 manifests only; empty when either
-    /// side carries no attribution, or nothing moved).
+    /// Per-replay accuracy blame (empty when either side carries no
+    /// attribution, or nothing moved).
     pub attribution: Vec<AttributionDelta>,
-    /// Per-phase sample-share blame (v4 manifests only; empty when
-    /// either side carries no profile, or nothing moved). Sorted by
-    /// `|delta_total|` descending then path.
+    /// Per-phase sample-share blame (empty when either side carries no
+    /// profile, or nothing moved). Sorted by `|delta_total|` descending
+    /// then path.
     pub profile: Vec<PhaseShareDelta>,
-    /// `(baseline schema, current schema)` when the two sides serialise
-    /// under different versions — the diff covered only the sections
-    /// both carry (callers surface this as a warning, never an error).
-    pub schema_skew: Option<(String, String)>,
 }
 
 fn pct(base: f64, delta: f64) -> Option<f64> {
@@ -431,8 +426,6 @@ impl ManifestDiff {
             ],
             attribution: attribution_deltas(&baseline.attribution, &current.attribution),
             profile: profile_deltas(baseline.profile.as_ref(), current.profile.as_ref()),
-            schema_skew: (baseline.schema() != current.schema())
-                .then(|| (baseline.schema().to_owned(), current.schema().to_owned())),
         }
     }
 
@@ -821,14 +814,6 @@ impl ManifestDiff {
                 .collect();
             doc = doc.with("profile", Json::Arr(phases));
         }
-        if let Some((base, cur)) = &self.schema_skew {
-            doc = doc.with(
-                "schema_skew",
-                Json::obj()
-                    .with("base", base.as_str())
-                    .with("cur", cur.as_str()),
-            );
-        }
         doc.to_string()
     }
 }
@@ -1071,7 +1056,6 @@ mod tests {
     fn profile_blames_the_phase_that_grew() {
         // "phase run/profile went from 12% to 31% of samples".
         let diff = ManifestDiff::compute(&profiled(0.12), &profiled(0.31));
-        assert!(diff.schema_skew.is_none(), "both sides are v4");
         assert_eq!(diff.profile.len(), 2, "the unmoved root is omitted");
         let p = diff
             .profile
@@ -1102,43 +1086,23 @@ mod tests {
     }
 
     #[test]
-    fn version_skew_downgrades_to_common_sections() {
-        // A v2 baseline (samples, no profile) against a v4 current: the
-        // diff must succeed, cover the shared sections, skip the profile
-        // blame, and record the skew for the caller's warning.
+    fn one_sided_sections_downgrade_to_common_sections() {
+        // A baseline with samples but no profile against a profiled
+        // current: the diff must succeed, cover the shared sections and
+        // skip the profile blame.
         let (base, _) = base_and_current();
-        let v2_base = base.with_samples(vec![crate::sampler::Sample {
+        let sampled_base = base.with_samples(vec![crate::sampler::Sample {
             t_ms: 1.0,
             counters: std::collections::BTreeMap::new(),
             gauges: std::collections::BTreeMap::new(),
         }]);
-        assert_eq!(v2_base.schema(), crate::manifest::SCHEMA_V2);
-        let v4_cur = profiled(0.5);
-        assert_eq!(v4_cur.schema(), crate::manifest::SCHEMA_V4);
-
-        let diff = ManifestDiff::compute(&v2_base, &v4_cur);
-        assert_eq!(
-            diff.schema_skew,
-            Some((
-                crate::manifest::SCHEMA_V2.to_owned(),
-                crate::manifest::SCHEMA_V4.to_owned()
-            ))
-        );
+        let diff = ManifestDiff::compute(&sampled_base, &profiled(0.5));
         assert!(
             diff.profile.is_empty(),
             "an unprofiled side yields no share blame"
         );
         // Shared sections still diff (identical content → no movement).
         assert!(diff.phases.iter().all(|p| p.delta_ms == 0.0));
-        let json = Json::parse(&diff.to_json()).unwrap();
-        let skew = json.get("schema_skew").expect("skew is serialised");
-        assert_eq!(
-            skew.get("base").and_then(Json::as_str),
-            Some(crate::manifest::SCHEMA_V2)
-        );
-        assert_eq!(
-            skew.get("cur").and_then(Json::as_str),
-            Some(crate::manifest::SCHEMA_V4)
-        );
+        assert!(!diff.to_json().contains("\"profile\""));
     }
 }

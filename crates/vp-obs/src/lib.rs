@@ -33,21 +33,20 @@
 //!   events and reports the loss (`trace.dropped_events`).
 //! - **Sampling** ([`sampler`]) — a background thread snapshotting the
 //!   counter/gauge registry mid-run, embedded as the `samples` series of
-//!   a `provp-run-manifest/v2` document (v1 documents stay valid and
-//!   byte-identical on round-trip).
+//!   the run manifest.
 //! - **Profiling** ([`profiler`], [`flame`]) — a background thread
 //!   sampling every worker's open-span stack at `--profile-hz`, folded
 //!   on shutdown into collapsed stacks (`a;b;c <count>`), a
-//!   zero-dependency flamegraph SVG and the `profile` section of a
-//!   `provp-run-manifest/v4` document that `manifest-diff` can blame
-//!   and `metrics-check` can gate.
+//!   zero-dependency flamegraph SVG and the `profile` section of the
+//!   run manifest, which `manifest-diff` can blame and `metrics-check`
+//!   can gate.
 //! - **Diffing** ([`diff`]) — attribution of wall-clock and counter
 //!   deltas between two manifests, powering the `manifest-diff` binary
 //!   and CI regression blame tables.
 //! - **Prediction attribution** ([`attribution`]) — passive per-PC
 //!   misprediction-cause and profile-drift results, embedded as the
-//!   `attribution` array of a `provp-run-manifest/v3` document and
-//!   rendered by the `attribution-report` binary.
+//!   `attribution` array of the run manifest and rendered by the
+//!   `attribution-report` binary.
 //!
 //! Instrumentation is observation-only by design: nothing in this crate
 //! writes to stdout, and nothing feeds back into simulation results, so
@@ -90,9 +89,7 @@ pub use diff::ManifestDiff;
 pub use export::{print_table, render_table, write_manifest};
 pub use flame::flamegraph_svg;
 pub use log::Level;
-pub use manifest::{
-    HotStack, PhaseShare, ProfileSection, RunManifest, SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4,
-};
+pub use manifest::{HotStack, PhaseShare, ProfileSection, RunManifest, SCHEMA};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 pub use profiler::{Profile, Profiler};
 pub use registry::{global, Registry, Snapshot, SpanStat};

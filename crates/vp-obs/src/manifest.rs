@@ -4,7 +4,7 @@
 //! with which arguments, how wall-clock distributed over phases
 //! (spans), every counter/gauge/histogram the run recorded, derived
 //! rates (simulator throughput, cache hit rate) and peak RSS. Schema is
-//! documented in `OBSERVABILITY.md`; the `schema` field is versioned so
+//! documented in `OBSERVABILITY.md`; the `schema` field names it so
 //! downstream tooling can detect incompatible changes.
 //!
 //! Manifests round-trip through the serde-free parser in [`crate::json`]
@@ -12,28 +12,20 @@
 //! manifest exactly (modulo float formatting, which is shortest-roundtrip
 //! and therefore lossless).
 //!
-//! ## Versioning
+//! ## Schema
 //!
-//! Four schema versions exist and the parser accepts all of them:
+//! Every manifest serialises under one schema, [`SCHEMA`]
+//! (`provp-run-manifest/v4`). Besides the end-of-run aggregates it has
+//! three optional sections, each written only when non-empty and parsed
+//! as empty when absent:
 //!
-//! - **v1** (PR 2) — end-of-run aggregates only.
-//! - **v2** — adds the `samples` array: a mid-run time series of the
-//!   counter/gauge registry collected by [`crate::sampler`].
-//! - **v3** — adds the `attribution` array: per-PC misprediction
-//!   attribution and profile drift per predictor replay (see
-//!   [`crate::attribution`]).
-//! - **v4** — adds the `profile` object: folded span-stack samples from
-//!   the sampling profiler (see [`crate::profiler`]) — top-K hot stacks
-//!   and per-phase self/total sample shares.
-//!
-//! The version is *derived from content*: a manifest with a profile
-//! section serialises as v4, one with attribution runs (but no profile)
-//! as v3, one with samples as v2, and one with none of them as v1 — so
-//! documents produced before any layer existed re-serialise
-//! byte-identically, older documents parse as manifests with the newer
-//! sections empty, and version-aware tooling (`manifest-diff`,
-//! `metrics-check`, `attribution-report`) transparently reads any of
-//! the four.
+//! - `samples` — a mid-run time series of the counter/gauge registry
+//!   collected by [`crate::sampler`];
+//! - `attribution` — per-PC misprediction attribution and profile drift
+//!   per predictor replay (see [`crate::attribution`]);
+//! - `profile` — folded span-stack samples from the sampling profiler
+//!   (see [`crate::profiler`]): top-K hot stacks and per-phase
+//!   self/total sample shares.
 
 use std::collections::BTreeMap;
 
@@ -44,21 +36,8 @@ use crate::json::{Json, ParseError};
 use crate::registry::Snapshot;
 use crate::sampler::Sample;
 
-/// The v1 schema identifier (aggregates only).
-pub const SCHEMA_V1: &str = "provp-run-manifest/v1";
-
-/// The v2 schema identifier (aggregates plus the `samples` time series).
-pub const SCHEMA_V2: &str = "provp-run-manifest/v2";
-
-/// The v3 schema identifier (v2 plus the `attribution` array).
-pub const SCHEMA_V3: &str = "provp-run-manifest/v3";
-
-/// The v4 schema identifier (v3 plus the `profile` section).
-pub const SCHEMA_V4: &str = "provp-run-manifest/v4";
-
-/// The oldest schema identifier (kept for downstream code spelled
-/// against PR 2's single-version constant).
-pub const SCHEMA: &str = SCHEMA_V1;
+/// The manifest schema identifier.
+pub const SCHEMA: &str = "provp-run-manifest/v4";
 
 /// Wall-time aggregate of one span path.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +77,7 @@ pub struct PhaseShare {
     pub total_share: f64,
 }
 
-/// The folded sampling-profiler results embedded in a v4 manifest.
+/// The folded sampling-profiler results embedded in a manifest.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileSection {
     /// Sampling cadence, Hz.
@@ -116,7 +95,7 @@ pub struct ProfileSection {
 }
 
 impl ProfileSection {
-    /// Serialises the section (the `profile` value of a v4 document).
+    /// Serialises the section (the `profile` value of a manifest).
     #[must_use]
     pub fn to_json(&self) -> Json {
         let hot_stacks: Vec<Json> = self
@@ -198,15 +177,14 @@ pub struct RunManifest {
     pub gauges: BTreeMap<String, u64>,
     /// All histograms (ten decile bins each).
     pub histograms: BTreeMap<String, [u64; 10]>,
-    /// Mid-run counter/gauge time series (empty in v1 documents; a
-    /// manifest with samples serialises under the v2 schema).
+    /// Mid-run counter/gauge time series (omitted from the document
+    /// when empty).
     pub samples: Vec<Sample>,
-    /// Per-PC attribution of one or more predictor replays (empty in
-    /// v1/v2 documents; a manifest with attribution serialises under
-    /// the v3 schema).
+    /// Per-PC attribution of one or more predictor replays (omitted from
+    /// the document when empty).
     pub attribution: Vec<AttributionRun>,
-    /// Folded sampling-profiler results (absent below v4; a manifest
-    /// carrying one serialises under the v4 schema).
+    /// Folded sampling-profiler results (omitted from the document when
+    /// absent).
     pub profile: Option<ProfileSection>,
 }
 
@@ -250,44 +228,25 @@ impl RunManifest {
         }
     }
 
-    /// Attaches a mid-run time series (promoting the manifest to the v2
-    /// schema when `samples` is non-empty).
+    /// Attaches a mid-run time series.
     #[must_use]
     pub fn with_samples(mut self, samples: Vec<Sample>) -> RunManifest {
         self.samples = samples;
         self
     }
 
-    /// Attaches per-PC attribution runs (promoting the manifest to the
-    /// v3 schema when `attribution` is non-empty).
+    /// Attaches per-PC attribution runs.
     #[must_use]
     pub fn with_attribution(mut self, attribution: Vec<AttributionRun>) -> RunManifest {
         self.attribution = attribution;
         self
     }
 
-    /// Attaches (or removes) the profiler section (promoting the
-    /// manifest to the v4 schema when present).
+    /// Attaches (or removes) the profiler section.
     #[must_use]
     pub fn with_profile(mut self, profile: Option<ProfileSection>) -> RunManifest {
         self.profile = profile;
         self
-    }
-
-    /// The schema version this manifest serialises under: v4 when it
-    /// carries a profile section, v3 when it carries attribution, v2
-    /// when it carries only samples, v1 otherwise (see the module docs).
-    #[must_use]
-    pub fn schema(&self) -> &'static str {
-        if self.profile.is_some() {
-            SCHEMA_V4
-        } else if !self.attribution.is_empty() {
-            SCHEMA_V3
-        } else if !self.samples.is_empty() {
-            SCHEMA_V2
-        } else {
-            SCHEMA_V1
-        }
     }
 
     /// Simulator throughput in retired instructions per second, derived
@@ -317,7 +276,7 @@ impl RunManifest {
         }
     }
 
-    /// Serialises to the versioned JSON document.
+    /// Serialises to the JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
         let phases: Vec<Json> = self
@@ -350,7 +309,7 @@ impl RunManifest {
             .with("sim_instr_per_sec", self.sim_instr_per_sec())
             .with("trace_hit_rate", self.trace_hit_rate());
         let mut doc = Json::obj()
-            .with("schema", self.schema())
+            .with("schema", SCHEMA)
             .with("bin", self.bin.as_str())
             .with(
                 "args",
@@ -392,9 +351,8 @@ impl RunManifest {
         doc.with("derived", derived).to_string()
     }
 
-    /// Parses a manifest back from its JSON form. Accepts both schema
-    /// versions: a v1 document parses as a manifest with an empty
-    /// `samples` array.
+    /// Parses a manifest back from its JSON form. An absent optional
+    /// section (`samples`, `attribution`, `profile`) parses as empty.
     ///
     /// # Errors
     ///
@@ -406,8 +364,7 @@ impl RunManifest {
             .get("schema")
             .and_then(Json::as_str)
             .ok_or_else(|| ManifestError::field("schema"))?;
-        if schema != SCHEMA_V1 && schema != SCHEMA_V2 && schema != SCHEMA_V3 && schema != SCHEMA_V4
-        {
+        if schema != SCHEMA {
             return Err(ManifestError::Schema(schema.to_owned()));
         }
         let field = |k: &'static str| doc.get(k).ok_or(ManifestError::Field(k));
@@ -447,8 +404,7 @@ impl RunManifest {
                 .collect::<Result<BTreeMap<_, _>, _>>()?,
             _ => return Err(ManifestError::field("histograms")),
         };
-        // `samples` is optional (absent in v1 documents; a v2 document
-        // without it is treated as an empty series).
+        // The three sections below are optional: absent means empty.
         let samples = match doc.get("samples") {
             None => Vec::new(),
             Some(v) => v
@@ -458,8 +414,6 @@ impl RunManifest {
                 .map(parse_sample)
                 .collect::<Result<Vec<_>, _>>()?,
         };
-        // `attribution` is optional (absent in v1/v2 documents; a v3
-        // document without it is treated as an empty array).
         let attribution = match doc.get("attribution") {
             None => Vec::new(),
             Some(v) => v
@@ -469,8 +423,6 @@ impl RunManifest {
                 .map(AttributionRun::parse)
                 .collect::<Result<Vec<_>, _>>()?,
         };
-        // `profile` is optional (absent below v4; a v4 document without
-        // it is treated as profiled-nothing).
         let profile = match doc.get("profile") {
             None => None,
             Some(v) => Some(ProfileSection::parse(v)?),
@@ -619,10 +571,7 @@ impl std::fmt::Display for ManifestError {
         match self {
             ManifestError::Json(e) => write!(f, "{e}"),
             ManifestError::Schema(s) => {
-                write!(
-                    f,
-                    "unknown manifest schema `{s}` (want `{SCHEMA_V1}`, `{SCHEMA_V2}`, `{SCHEMA_V3}` or `{SCHEMA_V4}`)"
-                )
+                write!(f, "unknown manifest schema `{s}` (want `{SCHEMA}`)")
             }
             ManifestError::Field(name) => write!(f, "missing or mistyped manifest field `{name}`"),
             ManifestError::FieldNamed(name) => {
@@ -676,7 +625,7 @@ mod tests {
         }
     }
 
-    fn sample_v2() -> RunManifest {
+    fn sampled() -> RunManifest {
         let mut m = sample();
         let mut counters = BTreeMap::new();
         counters.insert("trace_store.requests".to_owned(), 4u64);
@@ -705,24 +654,11 @@ mod tests {
         assert_eq!(back, m);
     }
 
-    #[test]
-    fn v2_round_trips_with_samples() {
-        let m = sample_v2();
-        assert_eq!(m.schema(), SCHEMA_V2);
-        let text = m.to_json();
-        assert!(text.contains(r#""schema":"provp-run-manifest/v2""#));
-        let back = RunManifest::parse(&text).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.samples.len(), 2);
-        // Canonical: re-serialisation is byte-identical.
-        assert_eq!(back.to_json(), text);
-    }
-
-    fn sample_v3() -> RunManifest {
+    fn attributed() -> RunManifest {
         use crate::attribution::{AttributionPc, AttributionRun, AttributionTotals};
         let mut causes = BTreeMap::new();
         causes.insert("stride-break".to_owned(), 4u64);
-        sample_v2().with_attribution(vec![AttributionRun {
+        sampled().with_attribution(vec![AttributionRun {
             workload: "compress".to_owned(),
             config: "stride[512x2]/profile".to_owned(),
             threshold: Some(0.9),
@@ -750,25 +686,8 @@ mod tests {
         }])
     }
 
-    #[test]
-    fn v3_round_trips_with_attribution() {
-        let m = sample_v3();
-        assert_eq!(m.schema(), SCHEMA_V3);
-        let text = m.to_json();
-        assert!(text.contains(r#""schema":"provp-run-manifest/v3""#));
-        let back = RunManifest::parse(&text).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.attribution.len(), 1);
-        // Canonical: re-serialisation is byte-identical.
-        assert_eq!(back.to_json(), text);
-        // Attribution without samples is still v3.
-        let mut no_samples = m;
-        no_samples.samples.clear();
-        assert_eq!(no_samples.schema(), SCHEMA_V3);
-    }
-
-    fn sample_v4() -> RunManifest {
-        sample_v3().with_profile(Some(ProfileSection {
+    fn profiled() -> RunManifest {
+        attributed().with_profile(Some(ProfileSection {
             hz: 99,
             samples: 100,
             dropped: 3,
@@ -793,30 +712,66 @@ mod tests {
         }))
     }
 
-    #[test]
-    fn v4_round_trips_with_profile() {
-        let m = sample_v4();
-        assert_eq!(m.schema(), SCHEMA_V4);
+    /// Serialises `m` under the one schema, checks it parses back exactly
+    /// and re-serialises byte-identically, and that each empty section is
+    /// left out of the document (an absent one parses empty).
+    fn assert_round_trips(m: &RunManifest) {
         let text = m.to_json();
         assert!(text.contains(r#""schema":"provp-run-manifest/v4""#));
         let back = RunManifest::parse(&text).unwrap();
-        assert_eq!(back, m);
-        // Canonical: re-serialisation is byte-identical.
+        assert_eq!(&back, m);
         assert_eq!(back.to_json(), text);
-        // A profile without attribution or samples is still v4.
+        assert_eq!(text.contains(r#""samples":["#), !m.samples.is_empty());
+        assert_eq!(
+            text.contains(r#""attribution":["#),
+            !m.attribution.is_empty()
+        );
+        assert_eq!(text.contains(r#""profile":{"#), m.profile.is_some());
+    }
+
+    // The `v1`..`v4` test names keep the section sets the retired schema
+    // versions carried; each now serialises under the one `SCHEMA`.
+
+    #[test]
+    fn v1_documents_parse_with_empty_samples() {
+        let m = sample();
+        assert_round_trips(&m);
+        let back = RunManifest::parse(&m.to_json()).unwrap();
+        assert!(back.samples.is_empty());
+        assert!(back.attribution.is_empty());
+        assert!(back.profile.is_none());
+    }
+
+    #[test]
+    fn v2_round_trips_with_samples() {
+        let m = sampled();
+        assert_eq!(m.samples.len(), 2);
+        assert_round_trips(&m);
+    }
+
+    #[test]
+    fn v3_round_trips_with_attribution() {
+        assert_round_trips(&attributed());
+        // Attribution without samples round-trips too.
+        let mut attribution_only = attributed();
+        attribution_only.samples.clear();
+        assert_round_trips(&attribution_only);
+    }
+
+    #[test]
+    fn v4_round_trips_with_profile() {
+        let m = profiled();
+        assert_round_trips(&m);
+        // A profile without attribution or samples round-trips too.
         let mut lone = m;
         lone.samples.clear();
         lone.attribution.clear();
-        assert_eq!(lone.schema(), SCHEMA_V4);
-        let back = RunManifest::parse(&lone.to_json()).unwrap();
-        assert_eq!(back, lone);
-        // Dropping the profile demotes back to v3/v2/v1 rules.
-        assert_eq!(sample_v4().with_profile(None).schema(), SCHEMA_V3);
+        assert_round_trips(&lone);
     }
 
     #[test]
     fn profile_section_rejects_mistyped_fields() {
-        let good = sample_v4();
+        let good = profiled();
         let text = good.to_json();
         let broken = text.replace(r#""hz":99"#, r#""hz":"fast""#);
         assert!(matches!(
@@ -828,22 +783,6 @@ mod tests {
             RunManifest::parse(&broken).unwrap_err(),
             ManifestError::Field("hot_stacks")
         ));
-    }
-
-    #[test]
-    fn v1_documents_parse_with_empty_samples() {
-        let m = sample();
-        assert_eq!(m.schema(), SCHEMA_V1);
-        let text = m.to_json();
-        assert!(text.contains(r#""schema":"provp-run-manifest/v1""#));
-        assert!(!text.contains("samples"));
-        let back = RunManifest::parse(&text).unwrap();
-        assert!(back.samples.is_empty());
-        // And a v2 document that happens to carry no samples is still
-        // accepted (forward tolerance).
-        let forced_v2 = text.replace("provp-run-manifest/v1", "provp-run-manifest/v2");
-        let back = RunManifest::parse(&forced_v2).unwrap();
-        assert_eq!(back, m);
     }
 
     #[test]
@@ -859,8 +798,18 @@ mod tests {
     fn rejects_wrong_schema_and_missing_fields() {
         let err = RunManifest::parse(r#"{"schema":"other/v9"}"#).unwrap_err();
         assert!(matches!(err, ManifestError::Schema(_)));
-        let err = RunManifest::parse(r#"{"schema":"provp-run-manifest/v1"}"#).unwrap_err();
+        let err = RunManifest::parse(r#"{"schema":"provp-run-manifest/v4"}"#).unwrap_err();
         assert!(matches!(err, ManifestError::Field("bin")));
+        // Documents under the retired v1-v3 identifiers are unknown too.
+        let text = sample().to_json();
+        for old in ["v1", "v2", "v3"] {
+            let renamed = text.replace(
+                "provp-run-manifest/v4",
+                &format!("provp-run-manifest/{old}"),
+            );
+            let err = RunManifest::parse(&renamed).unwrap_err();
+            assert!(matches!(err, ManifestError::Schema(_)), "{old}");
+        }
         assert!(RunManifest::parse("not json").is_err());
     }
 

@@ -3,8 +3,8 @@
 //! End-of-run aggregates say *that* throughput regressed; a time series
 //! says *when*. The [`Sampler`] runs one background thread that
 //! periodically copies every counter and gauge out of a [`Registry`]
-//! into a [`Sample`], producing the `samples` array embedded in a
-//! `provp-run-manifest/v2` document.
+//! into a [`Sample`], producing the `samples` array embedded in the run
+//! manifest.
 //!
 //! Sampling follows the same rules as the rest of the layer: it never
 //! writes to stdout, never feeds back into experiment results, and is

@@ -1,7 +1,7 @@
 //! Property tests for the run-manifest schema: arbitrary manifests must
 //! survive `to_json` → `parse` → `to_json` byte-identically (the format
-//! is canonical and the float formatting shortest-roundtrip), and the
-//! v1/v2/v3/v4 versioning rules must hold for any content.
+//! is canonical and the float formatting shortest-roundtrip), under one
+//! schema whatever optional sections they carry.
 //!
 //! Generated integers stay below 2^53: JSON numbers are f64 (in the
 //! in-tree parser and in every JavaScript consumer alike), so the
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use vp_obs::attribution::{AttributionPc, AttributionRun, AttributionTotals, CAUSE_ORDER};
 use vp_obs::manifest::{HotStack, PhaseEntry, PhaseShare, ProfileSection};
 use vp_obs::sampler::Sample;
-use vp_obs::{RunManifest, SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4};
+use vp_obs::{RunManifest, SCHEMA};
 use vp_rng::{prop, Rng};
 
 const KEYS: &[&str] = &[
@@ -175,51 +175,25 @@ fn serialisation_is_canonical_for_arbitrary_manifests() {
 }
 
 #[test]
-fn schema_version_is_derived_from_content() {
-    prop::forall("manifest versioning", arb_manifest).check(|m| {
-        let text = m.to_json();
-        if m.profile.is_some() {
-            assert_eq!(m.schema(), SCHEMA_V4);
-            assert!(text.contains(SCHEMA_V4));
-        } else if !m.attribution.is_empty() {
-            assert_eq!(m.schema(), SCHEMA_V3);
-            assert!(text.contains(SCHEMA_V3));
-            assert!(!text.contains("\"profile\""));
-        } else if m.samples.is_empty() {
-            assert_eq!(m.schema(), SCHEMA_V1);
-            assert!(text.contains(SCHEMA_V1));
-            assert!(!text.contains("\"samples\""));
-            assert!(!text.contains("\"attribution\""));
-            assert!(!text.contains("\"profile\""));
-        } else {
-            assert_eq!(m.schema(), SCHEMA_V2);
-            assert!(text.contains(SCHEMA_V2));
-            assert!(!text.contains("\"attribution\""));
-            assert!(!text.contains("\"profile\""));
+fn one_schema_whatever_the_content() {
+    prop::forall("manifest schema", arb_manifest).check(|m| {
+        // Strip the optional sections one at a time: every form serialises
+        // under the one schema, leaves its empty sections out, and parses
+        // back with them empty.
+        let no_profile = m.clone().with_profile(None);
+        let no_attribution = no_profile.clone().with_attribution(Vec::new());
+        let bare = no_attribution.clone().with_samples(Vec::new());
+        for form in [m, &no_profile, &no_attribution, &bare] {
+            let text = form.to_json();
+            assert!(text.starts_with(&format!(r#"{{"schema":"{SCHEMA}","#)));
+            assert_eq!(text.contains("\"samples\":["), !form.samples.is_empty());
+            assert_eq!(
+                text.contains("\"attribution\":["),
+                !form.attribution.is_empty()
+            );
+            assert_eq!(text.contains("\"profile\":{"), form.profile.is_some());
+            let back = RunManifest::parse(&text).expect("every form parses");
+            assert_eq!(&back, form);
         }
-
-        // Stripping the newer sections always yields the older document
-        // form, which parses back with those sections empty (backward
-        // compatibility for any content).
-        let v3 = m.clone().with_profile(None);
-        let v3_text = v3.to_json();
-        assert!(!v3_text.contains(SCHEMA_V4));
-        let back = RunManifest::parse(&v3_text).expect("v3 form parses");
-        assert!(back.profile.is_none());
-        assert_eq!(back, v3);
-
-        let v2 = v3.with_attribution(Vec::new());
-        let v2_text = v2.to_json();
-        assert!(!v2_text.contains(SCHEMA_V3));
-        let back = RunManifest::parse(&v2_text).expect("v2 form parses");
-        assert!(back.attribution.is_empty());
-        assert_eq!(back, v2);
-
-        let v1 = v2.with_samples(Vec::new());
-        let v1_text = v1.to_json();
-        assert!(v1_text.contains(SCHEMA_V1));
-        let back = RunManifest::parse(&v1_text).expect("v1 form parses");
-        assert!(back.samples.is_empty());
-        assert_eq!(back, v1);
     });
 }

@@ -43,10 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
 
-    for (name, config) in designs {
-        let mut tracer = PredictorTracer::new(config.build());
-        run(&tagged, &mut tracer, RunLimits::default())?;
-        let stats = tracer.into_stats();
+    let cells = designs.map(|(_, config)| (config, Some(0.7)));
+    let grid = suite.predictor_stats_matrix(kind, &cells);
+    for ((name, _), stats) in designs.iter().zip(grid) {
         println!(
             "{name:<28} correct {:>8}  wrong {:>6}  effective accuracy {:>5.1}%",
             stats.speculated_correct,

@@ -10,7 +10,6 @@
 //! profiler, a predictor, and the ILP machine — without touching the
 //! simulator again.
 
-use provp::core::PredictorTracer;
 use provp::ilp::{IlpAnalyzer, IlpConfig};
 use provp::predictor::PredictorConfig;
 use provp::profile::ProfileCollector;
@@ -54,12 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         predictor.access(addr, directive, value);
     }
     println!("predictor: {}", predictor.stats());
-
-    // A full-retirement replay through the tracer glue gives the same
-    // statistics as the columnar value-event scan.
-    let mut tracer = PredictorTracer::new(PredictorConfig::spec_table_stride_fsm().build());
-    columns.replay(&program, &mut tracer)?;
-    assert_eq!(tracer.stats(), predictor.stats());
 
     // Consumer 3: the abstract ILP machine.
     let mut ilp = IlpAnalyzer::new(IlpConfig::paper_no_vp());

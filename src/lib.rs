@@ -22,17 +22,30 @@
 //!
 //! ## Quickstart
 //!
-//! ```
-//! use provp::core::pipeline::{ProfileGuidedPipeline, PipelineConfig};
-//! use provp::workloads::{Workload, WorkloadKind};
+//! [`core::Suite`] runs the paper's three phases, memoised: compile,
+//! profile under the training inputs and merge, annotate; then it
+//! evaluates on the held-out reference input.
 //!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let workload = Workload::new(WorkloadKind::Ijpeg);
-//! let pipeline = ProfileGuidedPipeline::new(PipelineConfig::default());
-//! let outcome = pipeline.run(&workload)?;
-//! assert!(outcome.annotated.summary().tagged() > 0);
-//! # Ok(())
-//! # }
+//! ```
+//! use provp::core::Suite;
+//! use provp::ilp::IlpConfig;
+//! use provp::workloads::WorkloadKind;
+//!
+//! let kind = WorkloadKind::Ijpeg;
+//! let suite = Suite::new();
+//! assert_eq!(suite.train_images(kind).len(), 5);
+//! assert!(!suite.merged_image(kind).is_empty());
+//! let (_, summary) = suite.annotated(kind, 0.9);
+//! assert!(summary.tagged() > 0);
+//!
+//! let ilp = suite.ilp_plan(
+//!     kind,
+//!     &[
+//!         (IlpConfig::paper_no_vp(), None),
+//!         (IlpConfig::paper_vp_profile(), Some(0.9)),
+//!     ],
+//! );
+//! assert!(ilp[1].ilp_increase_over(&ilp[0]) > 0.0);
 //! ```
 
 pub use provp_core as core;
@@ -62,8 +75,8 @@ pub use vp_workloads as workloads;
 pub mod prelude {
     pub use provp_core::replay::stream::{DEFAULT_BLOCK_POOL, MIN_BLOCK_POOL};
     pub use provp_core::{
-        PredictorTracer, ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse,
-        ReplaySource, Suite, SweepPlan, TraceStore,
+        ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse, ReplaySource, Suite,
+        SweepPlan, TraceStore,
     };
     pub use vp_obs::{HotStack, PhaseShare, ProfileSection, RunManifest};
     pub use vp_predictor::{
