@@ -677,6 +677,21 @@ mod tests {
         std::fs::write(&good, manifest.to_json()).unwrap();
         assert_eq!(load_baseline(&good).unwrap(), manifest);
 
+        // The committed baseline CI gates against loads through the same
+        // path (its `samples` series is ignored) and carries what the
+        // gates read from it.
+        let committed =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json");
+        let baseline = load_baseline(&committed).unwrap();
+        let profile = baseline.profile.as_ref().expect("baseline profile");
+        assert!(!profile.phases.is_empty() && !profile.hot_stacks.is_empty());
+        assert!(!baseline.attribution.is_empty());
+        assert!(baseline.sim_instr_per_sec() > 0.0);
+        assert!(baseline.phases.iter().any(|p| p.path == "repro-all/sweep"));
+        for key in ["replay.matrix_passes", "replay.matrix_traces"] {
+            assert!(baseline.counters.get(key) > Some(&0), "{key}");
+        }
+
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -904,7 +919,7 @@ mod tests {
         m.gauges
             .insert("rss.sampled_peak_bytes".to_owned(), 48 << 20);
         assert_eq!(peak_rss(&m), Some(48 << 20));
-        // A zero gauge (sampler never ticked) falls back again.
+        // A zero gauge (profiler never ticked) falls back again.
         m.gauges.insert("rss.sampled_peak_bytes".to_owned(), 0);
         assert_eq!(peak_rss(&m), Some(64 << 20));
     }

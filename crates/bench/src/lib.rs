@@ -37,14 +37,6 @@
 //!                            peak RSS) to FILE after the run
 //! --metrics-table            print the same report human-readably to
 //!                            stderr
-//! --trace-out=FILE           record span begin/end and pipeline events
-//!                            into a bounded in-memory ring and write a
-//!                            Chrome `trace_event` JSON file (open in
-//!                            Perfetto or chrome://tracing) after the run
-//! --sample-ms=N              snapshot every counter/gauge every N ms on
-//!                            a background thread and embed the series as
-//!                            the `samples` array of the run
-//!                            manifest
 //! --attribution              classify every predictor misprediction by
 //!                            per-PC cause and embed the result as the
 //!                            `attribution` array of the run
@@ -66,9 +58,9 @@
 //! [`args::normalize`].
 //!
 //! With none of the observability flags set, the layer stays passive
-//! and stdout is byte-identical to an uninstrumented run — the event
-//! ring, sampler and exporters only write to the requested files and to
-//! stderr, never stdout. Diagnostics on stderr are level-filtered via
+//! and stdout is byte-identical to an uninstrumented run — the profiler
+//! and exporters only write to the requested files and to stderr, never
+//! stdout. Diagnostics on stderr are level-filtered via
 //! `PROVP_LOG=error|warn|info|debug` (default `warn`).
 
 pub mod args;
@@ -100,12 +92,6 @@ pub struct Options {
     pub metrics_out: Option<PathBuf>,
     /// Whether to print the human-readable metrics report to stderr.
     pub metrics_table: bool,
-    /// Where to write the Chrome `trace_event` JSON document, if
-    /// anywhere (also enables the in-memory event ring).
-    pub trace_out: Option<PathBuf>,
-    /// Mid-run registry sampling cadence in milliseconds, if sampling
-    /// was requested (fills the manifest's `samples` section).
-    pub sample_ms: Option<u64>,
     /// Whether to collect per-PC misprediction attribution (fills the
     /// manifest's `attribution` section). Observation-only: stdout stays
     /// byte-identical either way.
@@ -132,8 +118,6 @@ impl Default for Options {
             trace_cache: None,
             metrics_out: None,
             metrics_table: false,
-            trace_out: None,
-            sample_ms: None,
             attribution: false,
             attribution_top: 20,
             profile_hz: None,
@@ -198,18 +182,6 @@ impl Options {
                 opts.metrics_out = Some(PathBuf::from(path));
             } else if arg == "--metrics-table" {
                 opts.metrics_table = true;
-            } else if let Some(path) = arg.strip_prefix("--trace-out=") {
-                if path.is_empty() {
-                    return Err("empty --trace-out path".to_owned());
-                }
-                opts.trace_out = Some(PathBuf::from(path));
-            } else if let Some(n) = arg.strip_prefix("--sample-ms=") {
-                opts.sample_ms = Some(
-                    n.parse()
-                        .ok()
-                        .filter(|&ms| ms >= 1)
-                        .ok_or_else(|| format!("bad --sample-ms value `{n}` (want >= 1)"))?,
-                );
             } else if arg == "--attribution" {
                 opts.attribution = true;
             } else if let Some(n) = arg.strip_prefix("--attribution-top=") {
@@ -232,9 +204,8 @@ impl Options {
                 return Err(format!(
                     "unknown argument `{arg}` (try --workloads=, --train-runs=, \
                      --jobs=, --stream, --block-pool=, --trace-cache=, \
-                     --metrics-out=, --metrics-table, --trace-out=, --sample-ms=, \
-                     --attribution, --attribution-top=, --profile-hz=, \
-                     --profile-out=)"
+                     --metrics-out=, --metrics-table, --attribution, \
+                     --attribution-top=, --profile-hz=, --profile-out=)"
                 ));
             }
         }
@@ -275,10 +246,9 @@ impl Options {
 
 /// Runs one experiment binary end to end: parses the process arguments,
 /// builds the suite, executes `body` under a root span named after the
-/// binary, and — when the observability flags ask for it — folds the
-/// suite's trace-store statistics into the metric registry, records the
-/// event stream, samples the registry mid-run and emits the run
-/// manifest and Chrome trace.
+/// binary, and — when the observability flags ask for it — profiles the
+/// run, folds the suite's trace-store statistics into the metric
+/// registry and emits the run manifest and profile files.
 ///
 /// With no observability flags set this adds nothing observable: no
 /// files, no stderr, and stdout exactly as `body` printed it.
@@ -291,65 +261,23 @@ pub fn run_experiment(bin: &'static str, body: impl FnOnce(&Options, &Suite)) {
 /// layer extra argument handling on top of [`Options`]).
 pub fn run_experiment_with(bin: &'static str, opts: &Options, body: impl FnOnce(&Options, &Suite)) {
     let started = Instant::now();
-    if opts.trace_out.is_some() {
-        vp_obs::events::enable();
-    }
     if opts.attribution {
         provp_core::attribution::enable(opts.attribution_top);
     }
     let suite = opts.suite();
-    // The sampler hook republishes the trace store's lock-consistent
-    // counter block right before every snapshot (on the sampler thread),
-    // so invariants like `memory_hits + misses == requests` hold in
-    // every sample, not just at end of run. Publishing is idempotent
-    // (`record_absolute`), so the hook and the end-of-run publish never
-    // double count.
-    let sampler = opts.sample_ms.map(|ms| {
-        let store = suite.trace_store();
-        vp_obs::Sampler::start_with_hook(
-            std::time::Duration::from_millis(ms),
-            vp_obs::global(),
-            move || publish_trace_store_stats(&store.stats()),
-        )
-    });
     // The profiler must arm before the root span opens: span-stack
     // mirroring only covers spans pushed after arming, so starting it
     // here makes every sample a full `bin/...` path.
     let profiler = opts.profile_hz.map(vp_obs::Profiler::start);
-    vp_obs::events::instant("experiment.start", 0);
     {
         let _root = vp_obs::span(bin);
         body(opts, &suite);
     }
-    vp_obs::events::instant("experiment.finish", 0);
+    // Stopping the profiler publishes `profiler.samples` /
+    // `profiler.dropped_samples` before the manifest snapshot.
     let profile = profiler.map(vp_obs::Profiler::stop);
-    let samples = sampler.map_or_else(Vec::new, vp_obs::Sampler::stop);
-    // Drain + export the event stream *before* the manifest snapshot so
-    // `trace.dropped_events` lands in the manifest's counters (the
-    // profiler's stop already published `profiler.samples` /
-    // `profiler.dropped_samples` the same way).
-    emit_trace(opts);
     emit_profile(opts, profile.as_ref());
-    emit_metrics(bin, opts, &suite, started, samples, profile);
-}
-
-/// Drains the global event stream and writes the Chrome trace when
-/// `--trace-out=` asked for one. A no-op otherwise.
-fn emit_trace(opts: &Options) {
-    let Some(path) = &opts.trace_out else { return };
-    let (events, dropped) = vp_obs::events::drain_global();
-    vp_obs::counter("trace.dropped_events").record_absolute(dropped);
-    if dropped > 0 {
-        vp_obs::obs_warn!(
-            "event ring dropped {dropped} events (oldest first); the Chrome \
-             trace at {} is truncated",
-            path.display()
-        );
-    }
-    if let Err(e) = vp_obs::write_chrome_trace(&events, dropped, path) {
-        obs_error!("failed to write Chrome trace to {}: {e}", path.display());
-        std::process::exit(1);
-    }
+    emit_metrics(bin, opts, &suite, started, profile);
 }
 
 /// Hot stacks exported into the manifest's `profile` section.
@@ -390,18 +318,10 @@ fn emit_metrics(
     opts: &Options,
     suite: &Suite,
     started: Instant,
-    samples: Vec<vp_obs::Sample>,
     profile: Option<vp_obs::Profile>,
 ) {
     let attribution = provp_core::attribution::drain();
     if opts.metrics_out.is_none() && !opts.metrics_table {
-        if !samples.is_empty() {
-            vp_obs::obs_warn!(
-                "--sample-ms collected {} samples but neither --metrics-out= nor \
-                 --metrics-table was given; the series is discarded",
-                samples.len()
-            );
-        }
         if !attribution.is_empty() {
             vp_obs::obs_warn!(
                 "--attribution collected {} runs but neither --metrics-out= nor \
@@ -426,7 +346,6 @@ fn emit_metrics(
         wall_ms,
         &vp_obs::global().snapshot(),
     )
-    .with_samples(samples)
     .with_attribution(attribution)
     .with_profile(profile.map(|p| p.to_section(PROFILE_TOP_K)));
     if opts.metrics_table {
@@ -445,9 +364,8 @@ fn emit_metrics(
 /// manifest's derived hit rate consumes.
 ///
 /// Publishing is *idempotent* (`record_absolute` / `set_max` raise, never
-/// accumulate): the stats block is already cumulative, and both the
-/// sampler hook and the end-of-run exporter call this with snapshots of
-/// the same monotone totals.
+/// accumulate): the stats block is already cumulative, so publishing it
+/// never double counts.
 fn publish_trace_store_stats(stats: &provp_core::TraceStoreStats) {
     let c = |key: &'static str, v: u64| vp_obs::counter(key).record_absolute(v);
     c("trace_store.requests", stats.requests);
@@ -503,9 +421,8 @@ mod tests {
         assert!(Options::parse(["--jobs=0".into()]).is_err());
         assert!(Options::parse(["--jobs=lots".into()]).is_err());
         assert!(Options::parse(["--trace-cache=".into()]).is_err());
-        assert!(Options::parse(["--trace-out=".into()]).is_err());
-        assert!(Options::parse(["--sample-ms=0".into()]).is_err());
-        assert!(Options::parse(["--sample-ms=soon".into()]).is_err());
+        assert!(Options::parse(["--trace-out=t.json".into()]).is_err());
+        assert!(Options::parse(["--sample-ms=50".into()]).is_err());
     }
 
     #[test]
@@ -525,12 +442,7 @@ mod tests {
 
     #[test]
     fn parses_observability_flags() {
-        let o = Options::parse(["--trace-out=t.json".into(), "--sample-ms=50".into()]).unwrap();
-        assert_eq!(o.trace_out.as_deref(), Some("t.json".as_ref()));
-        assert_eq!(o.sample_ms, Some(50));
         let o = Options::parse([]).unwrap();
-        assert_eq!(o.trace_out, None);
-        assert_eq!(o.sample_ms, None);
         assert!(!o.attribution);
         assert_eq!(o.attribution_top, 20);
 

@@ -1,15 +1,13 @@
 //! Guards the observability layer's central contract: requesting a run
 //! manifest must not perturb experiment output. Runs the real `repro-all`
 //! binary with and without observability flags (`--metrics-out`,
-//! `--trace-out`, `--sample-ms`, `--attribution`, `--profile-hz`,
-//! `--profile-out`) and asserts stdout is byte-identical, then
-//! sanity-checks the emitted manifest, the time-series samples, the
-//! Chrome trace, the per-PC attribution layer (deterministic across
+//! `--attribution`, `--profile-hz`, `--profile-out`) and asserts stdout
+//! is byte-identical, then sanity-checks the emitted manifest, the
+//! per-PC attribution layer (deterministic across
 //! `--jobs`, totals reconciling exactly with the predictor counters),
 //! the sampling profiler's folded/flamegraph/manifest exports, and the
 //! `manifest-diff` / `attribution-report` reporting tools.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
 
@@ -106,10 +104,9 @@ fn metrics_out_leaves_stdout_byte_identical() {
         manifest.gauges.get("predictor.occupancy.max").copied() > Some(0),
         "table occupancy observed"
     );
-    // Without --attribution, --sample-ms or --profile-hz the optional
-    // sections are absent and parse empty.
+    // Without --attribution or --profile-hz the optional sections are
+    // absent and parse empty.
     assert!(manifest.attribution.is_empty(), "attribution is opt-in");
-    assert!(manifest.samples.is_empty(), "sampling is opt-in");
     assert!(manifest.profile.is_none(), "profiling is opt-in");
 }
 
@@ -119,125 +116,6 @@ fn parse_manifest(path: &Path) -> RunManifest {
     // One schema, whichever optional sections the run filled.
     assert!(text.starts_with(&format!(r#"{{"schema":"{SCHEMA}","#)));
     RunManifest::parse(text.trim_end()).expect("manifest parses")
-}
-
-/// Full observability run: `--trace-out` + `--sample-ms` + `--metrics-out`
-/// together must still leave experiment stdout byte-identical, while
-/// producing a manifest whose time series is internally consistent and
-/// a Chrome trace that satisfies the `trace_event` validity contract
-/// (every `B` matched by an `E` on its thread, timestamps monotone per
-/// thread).
-#[test]
-fn trace_and_samples_leave_stdout_byte_identical() {
-    let pid = std::process::id();
-    let manifest_path = std::env::temp_dir().join(format!("provp-trace-golden-{pid}.json"));
-    let trace_path = std::env::temp_dir().join(format!("provp-trace-golden-{pid}.trace.json"));
-    let _ = std::fs::remove_file(&manifest_path);
-    let _ = std::fs::remove_file(&trace_path);
-
-    let plain = run_repro_all(&[]);
-    let instrumented = run_repro_all(&[
-        format!("--metrics-out={}", manifest_path.display()),
-        format!("--trace-out={}", trace_path.display()),
-        "--sample-ms=25".to_owned(),
-    ]);
-
-    assert!(plain.status.success(), "plain run failed");
-    assert!(instrumented.status.success(), "instrumented run failed");
-    assert_eq!(
-        plain.stdout, instrumented.stdout,
-        "--trace-out/--sample-ms must not change experiment stdout"
-    );
-
-    // -- manifest with an internally consistent time series --
-    let manifest = parse_manifest(&manifest_path);
-    std::fs::remove_file(&manifest_path).unwrap();
-    assert!(manifest.attribution.is_empty() && manifest.profile.is_none());
-    assert!(
-        manifest.samples.len() >= 2,
-        "immediate + final samples guarantee >= 2 points, got {}",
-        manifest.samples.len()
-    );
-    let counter = |m: &BTreeMap<String, u64>, k: &str| m.get(k).copied().unwrap_or(0);
-    for s in &manifest.samples {
-        assert_eq!(
-            counter(&s.counters, "trace_store.memory_hits")
-                + counter(&s.counters, "trace_store.misses"),
-            counter(&s.counters, "trace_store.requests"),
-            "mid-run sample at t={}ms must balance (lock-consistent hook)",
-            s.t_ms
-        );
-    }
-    for pair in manifest.samples.windows(2) {
-        assert!(
-            pair[0].t_ms <= pair[1].t_ms,
-            "sample series must be monotone"
-        );
-        assert!(
-            counter(&pair[0].counters, "trace_store.requests")
-                <= counter(&pair[1].counters, "trace_store.requests"),
-            "monotone counters must not go backwards across samples"
-        );
-    }
-    // The ring-drop counter is always published on traced runs (0 when
-    // nothing was lost), so dashboards can rely on the key.
-    assert!(
-        manifest.counters.contains_key("trace.dropped_events"),
-        "traced runs must report trace.dropped_events (even when 0)"
-    );
-
-    // -- Chrome trace validity --
-    let text = std::fs::read_to_string(&trace_path).expect("trace written");
-    std::fs::remove_file(&trace_path).unwrap();
-    assert!(text.ends_with('\n'), "trace ends with newline");
-    let names = assert_chrome_trace_valid(text.trim_end());
-    for expected in ["experiment.start", "experiment.finish", "repro-all"] {
-        assert!(
-            names.iter().any(|n| n == expected),
-            "trace must record {expected}; saw {names:?}"
-        );
-    }
-}
-
-/// Asserts the Chrome `trace_event` validity contract on a rendered
-/// trace document and returns the event names seen: every record carries
-/// name/ph/ts/pid/tid, every `B` is matched by a later `E` on the same
-/// tid, and timestamps are monotone per tid.
-fn assert_chrome_trace_valid(doc: &str) -> Vec<String> {
-    let parsed = Json::parse(doc).expect("trace is valid JSON");
-    let records = parsed
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("traceEvents array");
-    assert!(!records.is_empty(), "trace must not be empty");
-    let mut depth: BTreeMap<u64, i64> = BTreeMap::new();
-    let mut last: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut names = Vec::new();
-    for r in records {
-        let tid = r.get("tid").and_then(Json::as_u64).expect("tid");
-        let ts = r.get("ts").and_then(Json::as_f64).expect("ts");
-        let ph = r.get("ph").and_then(Json::as_str).expect("ph");
-        let name = r.get("name").and_then(Json::as_str).expect("name");
-        assert!(r.get("pid").and_then(Json::as_u64).is_some(), "pid");
-        names.push(name.to_owned());
-        let prev = last.entry(tid).or_insert(0.0);
-        assert!(ts >= *prev, "timestamps must be monotone per thread");
-        *prev = ts;
-        match ph {
-            "B" => *depth.entry(tid).or_insert(0) += 1,
-            "E" => {
-                let d = depth.entry(tid).or_insert(0);
-                assert!(*d > 0, "E without open B on tid {tid}");
-                *d -= 1;
-            }
-            "i" => {}
-            other => panic!("unexpected phase {other}"),
-        }
-    }
-    for (tid, d) in depth {
-        assert_eq!(d, 0, "unclosed B on tid {tid}");
-    }
-    names
 }
 
 /// The per-PC attribution layer end to end: `--attribution` must leave

@@ -411,7 +411,6 @@ fn batch_shards(
     let skew_us = slowest.saturating_sub(fastest);
     vp_obs::counter("replay.shards").add(shards as u64);
     vp_obs::gauge("replay.shard_skew_ms").set_max(skew_us.div_ceil(1000));
-    vp_obs::events::instant("replay.shard_skew", skew_us);
     Ok(per_shard)
 }
 

@@ -339,7 +339,6 @@ pub(crate) fn stream_shards(
                 scope.spawn(move || {
                     crate::exec::mark_worker_thread();
                     let _adopted = vp_obs::span::adopt(parent_span);
-                    let _worker = vp_obs::events::scope("worker");
                     let _detach = DetachGuard { channel, index };
                     pass.scan(ShardEvents {
                         channel,
@@ -354,7 +353,6 @@ pub(crate) fn stream_shards(
 
         let producer_handle = scope.spawn(move || {
             let _adopted = vp_obs::span::adopt(parent_span.clone());
-            let _worker = vp_obs::events::scope("producer");
             let _close = CloseGuard { channel };
             let mut tracer = ValueBlockTracer::new(StreamSink::new(Arc::clone(channel)));
             let outcome = vp_sim::run(program, &mut tracer, limits);

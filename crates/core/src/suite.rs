@@ -165,7 +165,7 @@ pub struct Suite {
     train_runs: u32,
     jobs: usize,
     streaming: Option<usize>,
-    traces: Arc<TraceStore>,
+    traces: TraceStore,
     train_images: Memo<WorkloadKind, Vec<ProfileImage>>,
     reference_images: Memo<WorkloadKind, ProfileImage>,
     phase_images: Memo<WorkloadKind, (ProfileImage, ProfileImage)>,
@@ -192,7 +192,7 @@ impl Suite {
             train_runs,
             jobs: 1,
             streaming: None,
-            traces: Arc::new(TraceStore::new()),
+            traces: TraceStore::new(),
             train_images: Memo::new(),
             reference_images: Memo::new(),
             phase_images: Memo::new(),
@@ -214,7 +214,7 @@ impl Suite {
     /// later processes, skipping the functional simulation entirely.
     #[must_use]
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.traces = Arc::new(TraceStore::new().with_spill_dir(dir));
+        self.traces = TraceStore::new().with_spill_dir(dir);
         self
     }
 
@@ -248,14 +248,6 @@ impl Suite {
     #[must_use]
     pub fn trace_stats(&self) -> TraceStoreStats {
         self.traces.stats()
-    }
-
-    /// A handle on the embedded trace store (shared, so a mid-run
-    /// sampler hook can snapshot its internally-consistent stats from a
-    /// background thread).
-    #[must_use]
-    pub fn trace_store(&self) -> Arc<TraceStore> {
-        Arc::clone(&self.traces)
     }
 
     /// Maps `f` over `items` on up to [`Suite::jobs`] threads, returning
@@ -663,14 +655,8 @@ impl Suite {
 }
 
 /// Folds one run's predictor statistics into the process-wide
-/// observability counters (table pressure + per-classification hit rates)
-/// and marks allocation bursts in the event stream (an instant event per
-/// run carrying that run's allocation count, so the Chrome trace shows
-/// *which* predictor runs churned the table).
+/// observability counters (table pressure + per-classification hit rates).
 fn publish_predictor_metrics(stats: &PredictorStats) {
-    if stats.allocations > 0 {
-        vp_obs::events::instant("predictor.alloc_burst", stats.allocations);
-    }
     vp_obs::counter("predictor.accesses").add(stats.accesses);
     vp_obs::counter("predictor.hits").add(stats.hits);
     vp_obs::counter("predictor.raw_correct").add(stats.raw_correct);

@@ -41,12 +41,9 @@
 //! any instant `requests == memory_hits + misses` holds exactly, even
 //! while worker threads are mid-request. Captures are additionally
 //! wrapped in a `vp_obs` span (`capture`) so manifest phase timings show
-//! where simulation wall-clock goes, and the store emits instant events
-//! (`trace_store.evict` / `trace_store.spill` / `trace_store.disk_hit`,
-//! each carrying the trace's approximate byte size) into the
-//! `vp_obs::events` stream so a Chrome trace shows *when* cache churn
-//! happened. Event emission is lock-free and a no-op unless a
-//! `--trace-out` run enabled the stream.
+//! where simulation wall-clock goes. The harness publishes a stats
+//! snapshot as the `trace_store.*` counters of the run manifest
+//! (`disk_hits`, `spills`, `evictions`, ...) once the run ends.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -535,7 +532,6 @@ impl TraceStore {
         tracer: &mut impl Tracer,
     ) -> Result<(Trace, Provenance), TraceError> {
         if let Some(trace) = self.try_disk_load(key) {
-            vp_obs::events::instant("trace_store.disk_hit", trace.approx_bytes() as u64);
             return Ok((trace, Provenance::Disk));
         }
         let limits = RunLimits::with_max(key.max_instructions);
@@ -596,7 +592,6 @@ impl TraceStore {
                 spill_failed: true,
             }
         } else {
-            vp_obs::events::instant("trace_store.spill", trace.approx_bytes() as u64);
             Provenance::Captured {
                 spilled: true,
                 spill_failed: false,
@@ -618,9 +613,6 @@ impl TraceStore {
             if let Some(entry) = state.entries.remove(&victim) {
                 state.bytes = state.bytes.saturating_sub(entry.bytes);
                 state.counters.evictions += 1;
-                // Lock-free push into the (possibly disabled) event
-                // stream; cheap enough to emit under the state lock.
-                vp_obs::events::instant("trace_store.evict", entry.bytes as u64);
             }
         }
     }

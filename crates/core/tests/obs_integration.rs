@@ -5,10 +5,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use provp_core::{parallel_map, TraceStore};
-use vp_obs::{Registry, Sampler};
 use vp_sim::RunLimits;
 use vp_workloads::{InputSet, WorkloadKind};
 
@@ -132,78 +130,4 @@ fn concurrent_stats_snapshots_never_lose_requests() {
     assert_eq!(end.requests, 24);
     assert_eq!(end.captures, 2);
     assert_eq!(end.memory_hits + end.misses, end.requests);
-}
-
-/// The real [`Sampler`] + pre-sample-hook pipeline preserves the trace
-/// store's balance invariant in *every* emitted sample: the hook
-/// publishes an internally-consistent `TraceStore::stats` block (one
-/// lock, one snapshot) into the sampled registry right before each
-/// copy, so `memory_hits + misses == requests` holds mid-run, not just
-/// at end of run. This is the exact wiring the bench harness uses for
-/// `--sample-ms`.
-#[test]
-fn sampler_hook_keeps_trace_store_invariant_in_every_sample() {
-    let registry: &'static Registry = Box::leak(Box::new(Registry::new()));
-    let store = Arc::new(TraceStore::new());
-
-    let sampler = {
-        let store = Arc::clone(&store);
-        let requests = registry.counter_cell("trace_store.requests");
-        let hits = registry.counter_cell("trace_store.memory_hits");
-        let misses = registry.counter_cell("trace_store.misses");
-        Sampler::start_with_hook(Duration::from_millis(1), registry, move || {
-            // One consistent snapshot, published idempotently: stats are
-            // monotone, so fetch_max republishes without double counting.
-            let s = store.stats();
-            requests.fetch_max(s.requests, Ordering::Relaxed);
-            hits.fetch_max(s.memory_hits, Ordering::Relaxed);
-            misses.fetch_max(s.misses, Ordering::Relaxed);
-        })
-    };
-
-    thread::scope(|scope| {
-        for _ in 0..4 {
-            let store = Arc::clone(&store);
-            scope.spawn(move || {
-                for round in 0..3 {
-                    for i in 0..2 {
-                        let _ = store
-                            .get(
-                                WorkloadKind::Compress,
-                                InputSet::train(i),
-                                RunLimits::default(),
-                            )
-                            .unwrap();
-                        let _ = round;
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                }
-            });
-        }
-    });
-
-    let samples = sampler.stop();
-    assert!(samples.len() >= 2, "series must hold >= 2 points");
-    let counter = |s: &vp_obs::Sample, k: &str| s.counters.get(k).copied().unwrap_or(0);
-    for s in &samples {
-        assert_eq!(
-            counter(s, "trace_store.memory_hits") + counter(s, "trace_store.misses"),
-            counter(s, "trace_store.requests"),
-            "sample at t={}ms lost the balance invariant: {s:?}",
-            s.t_ms
-        );
-    }
-    // The final sample (taken at `stop`, after all workers joined) must
-    // reflect the complete run.
-    let last = samples.last().unwrap();
-    assert_eq!(counter(last, "trace_store.requests"), 24);
-    // And the series itself is monotone per key, as fetch_max promises.
-    for pair in samples.windows(2) {
-        for key in ["trace_store.requests", "trace_store.memory_hits"] {
-            assert!(
-                counter(&pair[0], key) <= counter(&pair[1], key),
-                "{key} went backwards across samples"
-            );
-        }
-    }
 }

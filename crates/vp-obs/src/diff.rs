@@ -17,9 +17,7 @@
 //!   tooling.
 //!
 //! The diff accepts any two manifests, with or without their optional
-//! sections (samples do not participate in the diff; they exist to
-//! localise a regression *within* one run, whereas the diff localises it
-//! *between* runs). When both sides carry `attribution` runs, the diff
+//! sections. When both sides carry `attribution` runs, the diff
 //! additionally blames accuracy movement on specific PCs and
 //! misprediction causes: replays are matched by workload × config ×
 //! threshold and each matched pair contributes per-PC raw-accuracy
@@ -1087,16 +1085,11 @@ mod tests {
 
     #[test]
     fn one_sided_sections_downgrade_to_common_sections() {
-        // A baseline with samples but no profile against a profiled
-        // current: the diff must succeed, cover the shared sections and
-        // skip the profile blame.
+        // An unprofiled baseline against a profiled current: the diff
+        // must succeed, cover the shared sections and skip the profile
+        // blame.
         let (base, _) = base_and_current();
-        let sampled_base = base.with_samples(vec![crate::sampler::Sample {
-            t_ms: 1.0,
-            counters: std::collections::BTreeMap::new(),
-            gauges: std::collections::BTreeMap::new(),
-        }]);
-        let diff = ManifestDiff::compute(&sampled_base, &profiled(0.5));
+        let diff = ManifestDiff::compute(&base, &profiled(0.5));
         assert!(
             diff.profile.is_empty(),
             "an unprofiled side yields no share blame"

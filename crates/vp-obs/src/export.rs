@@ -78,47 +78,21 @@ pub fn render_table(manifest: &RunManifest) -> String {
         100.0 * manifest.trace_hit_rate()
     );
 
-    // Data-loss footer: any recorded event/sample loss must be visible
-    // without opening the manifest (a zero is printed too, so "tracing
-    // was on and nothing was lost" is distinguishable from "not traced").
-    let dropped = manifest.counters.get("trace.dropped_events");
-    let discarded = manifest.counters.get("sampler.discarded_samples");
-    let prof_dropped = manifest.counters.get("profiler.dropped_samples");
-    if dropped.is_some() || discarded.is_some() || prof_dropped.is_some() {
+    // Data-loss footer: any recorded profiler sample loss must be
+    // visible without opening the manifest (a zero is printed too, so
+    // "profiling was on and nothing was lost" is distinguishable from
+    // "not profiled").
+    if let Some(n) = manifest.counters.get("profiler.dropped_samples") {
         let _ = writeln!(out, "-- data loss --");
-        if let Some(n) = dropped {
-            let _ = writeln!(
-                out,
-                "trace events dropped  {n}{}",
-                if *n > 0 {
-                    " (ring overflowed; oldest events were lost)"
-                } else {
-                    ""
-                }
-            );
-        }
-        if let Some(n) = discarded {
-            let _ = writeln!(
-                out,
-                "samples discarded     {n}{}",
-                if *n > 0 {
-                    " (sampler at capacity; raise --sample-ms)"
-                } else {
-                    ""
-                }
-            );
-        }
-        if let Some(n) = prof_dropped {
-            let _ = writeln!(
-                out,
-                "profile samples lost  {n}{}",
-                if *n > 0 {
-                    " (profiler ring overflowed; oldest samples were lost)"
-                } else {
-                    ""
-                }
-            );
-        }
+        let _ = writeln!(
+            out,
+            "profile samples lost  {n}{}",
+            if *n > 0 {
+                " (profiler ring overflowed; oldest samples were lost)"
+            } else {
+                ""
+            }
+        );
     }
     out
 }
@@ -142,7 +116,7 @@ pub fn write_manifest(manifest: &RunManifest, path: &Path) -> io::Result<()> {
 
 /// Writes `text` to `path` via a sibling `*.json.tmp` file followed by
 /// an atomic rename, so a crash mid-write never leaves a truncated
-/// document behind. Shared by the manifest and Chrome-trace exporters.
+/// document behind. Shared by the manifest and profile exporters.
 ///
 /// # Errors
 ///
@@ -190,22 +164,8 @@ mod tests {
         assert!(table.contains("demo/work"));
         assert!(table.contains("sim.instructions"));
         assert!(table.contains("100 instr/s"));
-        // No event/sampler counters recorded: no data-loss footer.
+        // No profiler counter recorded: no data-loss footer.
         assert!(!table.contains("-- data loss --"));
-    }
-
-    #[test]
-    fn table_footer_surfaces_event_and_sample_loss() {
-        let mut m = manifest();
-        m.counters.insert("trace.dropped_events".to_owned(), 12);
-        m.counters.insert("sampler.discarded_samples".to_owned(), 0);
-        let table = render_table(&m);
-        assert!(table.contains("-- data loss --"));
-        assert!(table.contains("trace events dropped  12 (ring overflowed"));
-        // A recorded zero is shown plainly, without the loss hint.
-        assert!(table.contains("samples discarded     0\n"));
-        // No profiler counter recorded: that loss channel is absent.
-        assert!(!table.contains("profile samples lost"));
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # vp-obs — zero-dependency structured observability for provp
@@ -23,23 +24,16 @@
 //!    predictor table health and peak RSS. The JSON round-trips through
 //!    the in-tree hand-rolled parser in [`json`] — no serde.
 //!
-//! On top of the aggregates sit three time-resolved layers, all opt-in
-//! and all bounded:
+//! On top of the aggregates sit the analysis layers, all opt-in and
+//! all bounded:
 //!
-//! - **Events** ([`events`]) — a lock-free, fixed-capacity ring buffer
-//!   of span begin/end and pipeline instant events, exported as a Chrome
-//!   `trace_event` JSON document ([`chrome`]) loadable in Perfetto.
-//!   Disabled by default; when the ring overflows it drops the *oldest*
-//!   events and reports the loss (`trace.dropped_events`).
-//! - **Sampling** ([`sampler`]) — a background thread snapshotting the
-//!   counter/gauge registry mid-run, embedded as the `samples` series of
-//!   the run manifest.
-//! - **Profiling** ([`profiler`], [`flame`]) — a background thread
-//!   sampling every worker's open-span stack at `--profile-hz`, folded
-//!   on shutdown into collapsed stacks (`a;b;c <count>`), a
-//!   zero-dependency flamegraph SVG and the `profile` section of the
-//!   run manifest, which `manifest-diff` can blame and `metrics-check`
-//!   can gate.
+//! - **Profiling** ([`profiler`], [`flame`]) — the one background
+//!   observer: a thread sampling every worker's open-span stack at
+//!   `--profile-hz`, folded on shutdown into collapsed stacks
+//!   (`a;b;c <count>`), a zero-dependency flamegraph SVG and the
+//!   `profile` section of the run manifest, which `manifest-diff` can
+//!   blame and `metrics-check` can gate. Each tick also folds the
+//!   process RSS into the `rss.sampled_peak_bytes` gauge.
 //! - **Diffing** ([`diff`]) — attribution of wall-clock and counter
 //!   deltas between two manifests, powering the `manifest-diff` binary
 //!   and CI regression blame tables.
@@ -68,9 +62,7 @@
 //! ```
 
 pub mod attribution;
-pub mod chrome;
 pub mod diff;
-pub mod events;
 pub mod export;
 pub mod flame;
 pub mod json;
@@ -80,11 +72,9 @@ pub mod metrics;
 pub mod profiler;
 pub mod registry;
 pub mod rss;
-pub mod sampler;
 pub mod span;
 
 pub use attribution::{AttributionPc, AttributionRun, AttributionTotals};
-pub use chrome::{chrome_trace, write_chrome_trace};
 pub use diff::ManifestDiff;
 pub use export::{print_table, render_table, write_manifest};
 pub use flame::flamegraph_svg;
@@ -93,5 +83,4 @@ pub use manifest::{HotStack, PhaseShare, ProfileSection, RunManifest, SCHEMA};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 pub use profiler::{Profile, Profiler};
 pub use registry::{global, Registry, Snapshot, SpanStat};
-pub use sampler::{Sample, Sampler};
 pub use span::{span, SpanGuard};

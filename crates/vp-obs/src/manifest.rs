@@ -16,16 +16,18 @@
 //!
 //! Every manifest serialises under one schema, [`SCHEMA`]
 //! (`provp-run-manifest/v4`). Besides the end-of-run aggregates it has
-//! three optional sections, each written only when non-empty and parsed
+//! two optional sections, each written only when non-empty and parsed
 //! as empty when absent:
 //!
-//! - `samples` — a mid-run time series of the counter/gauge registry
-//!   collected by [`crate::sampler`];
 //! - `attribution` — per-PC misprediction attribution and profile drift
 //!   per predictor replay (see [`crate::attribution`]);
 //! - `profile` — folded span-stack samples from the sampling profiler
 //!   (see [`crate::profiler`]): top-K hot stacks and per-phase
 //!   self/total sample shares.
+//!
+//! [`RunManifest::parse`] ignores members it does not read: `derived`,
+//! which it recomputes, and `samples`, the registry time series that
+//! older manifests carried.
 
 use std::collections::BTreeMap;
 
@@ -34,7 +36,6 @@ use vp_stats::DecileHistogram;
 use crate::attribution::AttributionRun;
 use crate::json::{Json, ParseError};
 use crate::registry::Snapshot;
-use crate::sampler::Sample;
 
 /// The manifest schema identifier.
 pub const SCHEMA: &str = "provp-run-manifest/v4";
@@ -177,9 +178,6 @@ pub struct RunManifest {
     pub gauges: BTreeMap<String, u64>,
     /// All histograms (ten decile bins each).
     pub histograms: BTreeMap<String, [u64; 10]>,
-    /// Mid-run counter/gauge time series (omitted from the document
-    /// when empty).
-    pub samples: Vec<Sample>,
     /// Per-PC attribution of one or more predictor replays (omitted from
     /// the document when empty).
     pub attribution: Vec<AttributionRun>,
@@ -222,17 +220,9 @@ impl RunManifest {
                 .iter()
                 .map(|(k, h)| (k.clone(), h.counts()))
                 .collect(),
-            samples: Vec::new(),
             attribution: Vec::new(),
             profile: None,
         }
-    }
-
-    /// Attaches a mid-run time series.
-    #[must_use]
-    pub fn with_samples(mut self, samples: Vec<Sample>) -> RunManifest {
-        self.samples = samples;
-        self
     }
 
     /// Attaches per-PC attribution runs.
@@ -321,19 +311,6 @@ impl RunManifest {
             .with("counters", map(&self.counters))
             .with("gauges", map(&self.gauges))
             .with("histograms", histograms);
-        if !self.samples.is_empty() {
-            let samples: Vec<Json> = self
-                .samples
-                .iter()
-                .map(|s| {
-                    Json::obj()
-                        .with("t_ms", s.t_ms)
-                        .with("counters", map(&s.counters))
-                        .with("gauges", map(&s.gauges))
-                })
-                .collect();
-            doc = doc.with("samples", Json::Arr(samples));
-        }
         if !self.attribution.is_empty() {
             doc = doc.with(
                 "attribution",
@@ -352,7 +329,8 @@ impl RunManifest {
     }
 
     /// Parses a manifest back from its JSON form. An absent optional
-    /// section (`samples`, `attribution`, `profile`) parses as empty.
+    /// section (`attribution`, `profile`) parses as empty; `derived` and
+    /// `samples` members are ignored.
     ///
     /// # Errors
     ///
@@ -404,16 +382,7 @@ impl RunManifest {
                 .collect::<Result<BTreeMap<_, _>, _>>()?,
             _ => return Err(ManifestError::field("histograms")),
         };
-        // The three sections below are optional: absent means empty.
-        let samples = match doc.get("samples") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| ManifestError::field("samples"))?
-                .iter()
-                .map(parse_sample)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
+        // The two sections below are optional: absent means empty.
         let attribution = match doc.get("attribution") {
             None => Vec::new(),
             Some(v) => v
@@ -436,7 +405,6 @@ impl RunManifest {
             counters,
             gauges,
             histograms,
-            samples,
             attribution,
             profile,
         })
@@ -507,21 +475,6 @@ fn parse_phase_share(v: &Json) -> Result<PhaseShare, ManifestError> {
         total_share: field("total_share")?
             .as_f64()
             .ok_or_else(|| ManifestError::field("total_share"))?,
-    })
-}
-
-fn parse_sample(v: &Json) -> Result<Sample, ManifestError> {
-    let field = |k: &'static str| v.get(k).ok_or(ManifestError::Field(k));
-    Ok(Sample {
-        t_ms: field("t_ms")?
-            .as_f64()
-            .ok_or_else(|| ManifestError::field("t_ms"))?,
-        counters: field("counters")?
-            .as_u64_map()
-            .ok_or_else(|| ManifestError::field("sample counters"))?,
-        gauges: field("gauges")?
-            .as_u64_map()
-            .ok_or_else(|| ManifestError::field("sample gauges"))?,
     })
 }
 
@@ -619,31 +572,9 @@ mod tests {
             counters,
             gauges,
             histograms,
-            samples: Vec::new(),
             attribution: Vec::new(),
             profile: None,
         }
-    }
-
-    fn sampled() -> RunManifest {
-        let mut m = sample();
-        let mut counters = BTreeMap::new();
-        counters.insert("trace_store.requests".to_owned(), 4u64);
-        counters.insert("trace_store.memory_hits".to_owned(), 3u64);
-        counters.insert("trace_store.misses".to_owned(), 1u64);
-        m.samples = vec![
-            Sample {
-                t_ms: 10.5,
-                counters: counters.clone(),
-                gauges: BTreeMap::new(),
-            },
-            Sample {
-                t_ms: 20.25,
-                counters,
-                gauges: m.gauges.clone(),
-            },
-        ];
-        m
     }
 
     #[test]
@@ -658,7 +589,7 @@ mod tests {
         use crate::attribution::{AttributionPc, AttributionRun, AttributionTotals};
         let mut causes = BTreeMap::new();
         causes.insert("stride-break".to_owned(), 4u64);
-        sampled().with_attribution(vec![AttributionRun {
+        sample().with_attribution(vec![AttributionRun {
             workload: "compress".to_owned(),
             config: "stride[512x2]/profile".to_owned(),
             threshold: Some(0.9),
@@ -721,7 +652,6 @@ mod tests {
         let back = RunManifest::parse(&text).unwrap();
         assert_eq!(&back, m);
         assert_eq!(back.to_json(), text);
-        assert_eq!(text.contains(r#""samples":["#), !m.samples.is_empty());
         assert_eq!(
             text.contains(r#""attribution":["#),
             !m.attribution.is_empty()
@@ -737,34 +667,37 @@ mod tests {
         let m = sample();
         assert_round_trips(&m);
         let back = RunManifest::parse(&m.to_json()).unwrap();
-        assert!(back.samples.is_empty());
         assert!(back.attribution.is_empty());
         assert!(back.profile.is_none());
     }
 
     #[test]
-    fn v2_round_trips_with_samples() {
-        let m = sampled();
-        assert_eq!(m.samples.len(), 2);
-        assert_round_trips(&m);
+    fn samples_member_is_ignored_on_parse() {
+        // Older manifests carry a `samples` registry time series; it
+        // parses away, and the rest of the document is read unchanged.
+        let m = sample();
+        let text = m.to_json().replacen(
+            r#","histograms""#,
+            r#","samples":[{"t_ms":10.5,"counters":{"a":1},"gauges":{}}],"histograms""#,
+            1,
+        );
+        assert!(text.contains(r#""samples":["#));
+        let back = RunManifest::parse(&text).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.to_json(), m.to_json());
     }
 
     #[test]
     fn v3_round_trips_with_attribution() {
         assert_round_trips(&attributed());
-        // Attribution without samples round-trips too.
-        let mut attribution_only = attributed();
-        attribution_only.samples.clear();
-        assert_round_trips(&attribution_only);
     }
 
     #[test]
     fn v4_round_trips_with_profile() {
         let m = profiled();
         assert_round_trips(&m);
-        // A profile without attribution or samples round-trips too.
+        // A profile without attribution round-trips too.
         let mut lone = m;
-        lone.samples.clear();
         lone.attribution.clear();
         assert_round_trips(&lone);
     }

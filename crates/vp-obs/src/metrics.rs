@@ -49,9 +49,8 @@ impl Counter {
     ///
     /// Use this when a subsystem keeps its own internally-consistent
     /// totals (e.g. the trace store's stats block, snapshotted under one
-    /// lock) and republishing must be *idempotent*: the mid-run sampler
-    /// hook and the end-of-run exporter can both publish the same totals
-    /// without double counting, which `add` would do.
+    /// lock) and republishing must be *idempotent*: publishing the same
+    /// totals twice never double counts, which `add` would do.
     pub fn record_absolute(&self, v: u64) {
         self.0.fetch_max(v, Ordering::Relaxed);
     }

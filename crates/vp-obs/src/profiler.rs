@@ -7,10 +7,10 @@
 //! ([`ThreadStack`]); a background [`Profiler`] thread periodically
 //! snapshots every registered thread's stack into bounded per-thread
 //! ring buffers (drop-oldest, accounted by the
-//! `profiler.dropped_samples` counter — the same loss discipline as the
-//! event ring) and, on [`Profiler::stop`], folds the samples into
-//! collapsed-stack form (`a;b;c <count>`), ready for the flamegraph
-//! renderer ([`crate::flame`]) and the manifest's `profile` section.
+//! `profiler.dropped_samples` counter) and, on [`Profiler::stop`], folds
+//! the samples into collapsed-stack form (`a;b;c <count>`), ready for the
+//! flamegraph renderer ([`crate::flame`]) and the manifest's `profile`
+//! section.
 //!
 //! ## Cost contract
 //!
@@ -40,11 +40,9 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crate::sampler::StopSignal;
 
 /// Maximum stack depth mirrored per thread; deeper nesting is recorded
 /// truncated (the true depth keeps counting, so pops stay balanced and
@@ -105,7 +103,7 @@ fn resolve(id: u32) -> Option<&'static str> {
 /// One thread's published span stack. Written only by the owning thread
 /// (push/pop/adopt), read by profiler threads through the seqlock.
 pub(crate) struct ThreadStack {
-    /// Event-stream thread id (shared with Chrome-trace `tid`s).
+    /// Small dense thread id (see [`thread_id`]); keys the sample rings.
     tid: u64,
     /// Seqlock version: odd while the owner is mid-update.
     version: AtomicU64,
@@ -217,6 +215,13 @@ fn threads() -> &'static Mutex<Vec<Arc<ThreadStack>>> {
     THREADS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+/// A small dense id for the calling thread, drawn once when the thread
+/// first registers its stack.
+fn thread_id() -> u64 {
+    static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+    NEXT_TID.fetch_add(1, Ordering::Relaxed)
+}
+
 /// Marks the stack dead when the owning thread's TLS is torn down.
 struct Registration {
     stack: Arc<ThreadStack>,
@@ -239,7 +244,7 @@ fn with_stack(f: impl FnOnce(&ThreadStack)) {
     let _ = MY_STACK.try_with(|cell| {
         let mut slot = cell.borrow_mut();
         let reg = slot.get_or_insert_with(|| {
-            let stack = Arc::new(ThreadStack::new(crate::events::thread_id()));
+            let stack = Arc::new(ThreadStack::new(thread_id()));
             threads()
                 .lock()
                 .expect("thread-stack registry poisoned")
@@ -406,6 +411,48 @@ impl Profile {
             hot_stacks,
             phases,
         }
+    }
+}
+
+/// The profiler thread's stop flag plus a condvar, so `stop()` interrupts
+/// the inter-tick sleep immediately instead of waiting out the interval.
+struct StopSignal {
+    stop: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl StopSignal {
+    fn new() -> Arc<StopSignal> {
+        Arc::new(StopSignal {
+            stop: Mutex::new(false),
+            wake: Condvar::new(),
+        })
+    }
+
+    /// Requests shutdown and wakes a thread sleeping in [`wait`].
+    ///
+    /// [`wait`]: StopSignal::wait
+    fn signal(&self) {
+        if let Ok(mut stop) = self.stop.lock() {
+            *stop = true;
+        }
+        self.wake.notify_all();
+    }
+
+    /// Sleeps for up to `interval` (woken early by [`signal`]); returns
+    /// `true` once shutdown has been requested.
+    ///
+    /// [`signal`]: StopSignal::signal
+    fn wait(&self, interval: Duration) -> bool {
+        let stop = self.stop.lock().expect("stop flag poisoned");
+        if *stop {
+            return true;
+        }
+        let (stop, _) = self
+            .wake
+            .wait_timeout(stop, interval)
+            .expect("stop flag poisoned");
+        *stop
     }
 }
 

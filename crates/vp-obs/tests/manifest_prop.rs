@@ -13,7 +13,6 @@ use std::collections::BTreeMap;
 
 use vp_obs::attribution::{AttributionPc, AttributionRun, AttributionTotals, CAUSE_ORDER};
 use vp_obs::manifest::{HotStack, PhaseEntry, PhaseShare, ProfileSection};
-use vp_obs::sampler::Sample;
 use vp_obs::{RunManifest, SCHEMA};
 use vp_rng::{prop, Rng};
 
@@ -25,7 +24,7 @@ const KEYS: &[&str] = &[
     "trace_store.misses",
     "predictor.accesses",
     "predictor.hits",
-    "trace.dropped_events",
+    "profiler.dropped_samples",
 ];
 
 fn arb_map(rng: &mut Rng) -> BTreeMap<String, u64> {
@@ -36,14 +35,6 @@ fn arb_map(rng: &mut Rng) -> BTreeMap<String, u64> {
         .take(n)
         .map(|k| (k.to_owned(), rng.below(1 << 53)))
         .collect()
-}
-
-fn arb_sample(rng: &mut Rng) -> Sample {
-    Sample {
-        t_ms: rng.gen_f64() * 60_000.0,
-        counters: arb_map(rng),
-        gauges: arb_map(rng),
-    }
 }
 
 fn arb_causes(rng: &mut Rng) -> BTreeMap<String, u64> {
@@ -141,7 +132,6 @@ fn arb_manifest(rng: &mut Rng) -> RunManifest {
             (format!("hist-{i}"), bins)
         })
         .collect();
-    let samples = (0..rng.below(4)).map(|_| arb_sample(rng)).collect();
     let attribution = (0..rng.below(3))
         .map(|_| arb_attribution_run(rng))
         .collect();
@@ -154,7 +144,6 @@ fn arb_manifest(rng: &mut Rng) -> RunManifest {
         counters: arb_map(rng),
         gauges: arb_map(rng),
         histograms,
-        samples,
         attribution,
         profile: (rng.below(2) == 0).then(|| arb_profile(rng)),
     }
@@ -181,12 +170,10 @@ fn one_schema_whatever_the_content() {
         // under the one schema, leaves its empty sections out, and parses
         // back with them empty.
         let no_profile = m.clone().with_profile(None);
-        let no_attribution = no_profile.clone().with_attribution(Vec::new());
-        let bare = no_attribution.clone().with_samples(Vec::new());
-        for form in [m, &no_profile, &no_attribution, &bare] {
+        let bare = no_profile.clone().with_attribution(Vec::new());
+        for form in [m, &no_profile, &bare] {
             let text = form.to_json();
             assert!(text.starts_with(&format!(r#"{{"schema":"{SCHEMA}","#)));
-            assert_eq!(text.contains("\"samples\":["), !form.samples.is_empty());
             assert_eq!(
                 text.contains("\"attribution\":["),
                 !form.attribution.is_empty()

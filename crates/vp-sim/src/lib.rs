@@ -57,8 +57,8 @@ pub use machine::Machine;
 pub use memory::Memory;
 pub use mix::InstrMix;
 pub use record::{
-    first_divergence, read_columns, read_trace, replay, write_columns, write_trace, Trace,
-    TraceDivergence, TraceError, TraceEvent, TraceRecorder, MAX_TRACE_EVENTS,
+    first_divergence, read_columns, replay, write_columns, Trace, TraceDivergence, TraceError,
+    TraceEvent, TraceRecorder, MAX_TRACE_EVENTS,
 };
 pub use runner::{run, RunLimits, RunStatus, RunSummary};
 pub use stream::{ValueBlockSink, ValueBlockTracer, VALUE_BLOCK};

@@ -484,26 +484,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Serialises a trace (as events) to a writer in the current columnar
-/// format (pass `&mut writer` to keep it).
-///
-/// # Errors
-///
-/// Propagates writer errors.
-pub fn write_trace<W: Write>(w: W, events: &[TraceEvent]) -> io::Result<()> {
-    write_columns(w, &TraceColumns::from_events(events))
-}
-
-/// Deserialises a trace from an in-memory buffer.
-///
-/// # Errors
-///
-/// A typed [`TraceError`]: bad magic, absurd length prefix, truncation
-/// or corruption.
-pub fn read_trace(bytes: &[u8]) -> Result<Vec<TraceEvent>, TraceError> {
-    Ok(read_columns(bytes)?.iter().collect())
-}
-
 /// Serialises a columnar trace in the current (`provptr3`) format: the
 /// columnar body followed by an FNV-1a-64 checksum over the body bytes.
 /// The whole file is built in memory and handed to `w` in one
@@ -845,8 +825,8 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
     fn serialisation_round_trips() {
         let (_, events) = record(SAMPLE);
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &events).unwrap();
-        let back = read_trace(bytes.as_slice()).unwrap();
+        write_columns(&mut bytes, &TraceColumns::from_events(&events)).unwrap();
+        let back: Vec<TraceEvent> = read_columns(&bytes).unwrap().iter().collect();
         assert_eq!(back, events);
     }
 
@@ -870,7 +850,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
 
     #[test]
     fn bad_magic_is_rejected() {
-        let e = read_trace(&b"notatrace........"[..]).unwrap_err();
+        let e = read_columns(b"notatrace........").unwrap_err();
         assert!(matches!(e, TraceError::BadMagic), "{e}");
     }
 
@@ -878,9 +858,9 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
     fn truncated_stream_is_a_typed_error() {
         let (_, events) = record(SAMPLE);
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &events).unwrap();
+        write_columns(&mut bytes, &TraceColumns::from_events(&events)).unwrap();
         bytes.truncate(bytes.len() - 3);
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(&bytes).unwrap_err();
         assert!(matches!(e, TraceError::Truncated { .. }), "{e}");
     }
 
@@ -890,7 +870,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         put_varint(&mut bytes, u64::MAX);
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(&bytes).unwrap_err();
         assert!(matches!(e, TraceError::AbsurdLength { .. }), "{e}");
     }
 
@@ -904,7 +884,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         put_varint(&mut bytes, 0); // n_dest
         put_varint(&mut bytes, 0); // n_mem
         put_varint(&mut bytes, 0); // n_store
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(&bytes).unwrap_err();
         assert!(matches!(e, TraceError::Truncated { .. }), "{e}");
     }
 
@@ -919,7 +899,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         put_varint(&mut bytes, 0); // n_mem
         put_varint(&mut bytes, 0); // n_store
         bytes.push(F_DEST);
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(&bytes).unwrap_err();
         assert!(matches!(e, TraceError::Corrupt { .. }), "{e}");
     }
 
@@ -932,7 +912,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         put_varint(&mut bytes, 0);
         put_varint(&mut bytes, 0);
         bytes.push(0x80); // undefined bit
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(&bytes).unwrap_err();
         assert!(matches!(e, TraceError::Corrupt { .. }), "{e}");
     }
 
@@ -973,12 +953,12 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
     fn body_bit_flip_fails_the_checksum() {
         let (_, events) = record(SAMPLE);
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &events).unwrap();
+        write_columns(&mut bytes, &TraceColumns::from_events(&events)).unwrap();
         // Flip one bit in every body byte position in turn; each corrupted
         // stream must fail with a typed error, never decode silently.
         for i in 8..bytes.len() {
             bytes[i] ^= 0x10;
-            let result = read_trace(bytes.as_slice());
+            let result = read_columns(&bytes);
             match result {
                 Err(
                     TraceError::AbsurdLength { .. }
@@ -995,9 +975,9 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
     fn missing_checksum_trailer_is_truncation() {
         let (_, events) = record(SAMPLE);
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &events).unwrap();
+        write_columns(&mut bytes, &TraceColumns::from_events(&events)).unwrap();
         bytes.truncate(bytes.len() - 8);
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(&bytes).unwrap_err();
         assert!(matches!(e, TraceError::Truncated { .. }), "{e}");
     }
 
@@ -1052,8 +1032,11 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
             LastValues::Sparse(_)
         ));
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &events).unwrap();
-        assert_eq!(read_trace(&bytes).unwrap(), events);
+        write_columns(&mut bytes, &TraceColumns::from_events(&events)).unwrap();
+        assert_eq!(
+            read_columns(&bytes).unwrap().iter().collect::<Vec<_>>(),
+            events
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use vp_isa::{InstrAddr, Reg, RegClass};
 use vp_rng::{prop, Rng};
-use vp_sim::record::{read_trace, write_trace, TraceEvent};
-use vp_sim::{MemAccess, Trace, TraceError};
+use vp_sim::record::TraceEvent;
+use vp_sim::{read_columns, write_columns, MemAccess, Trace, TraceColumns, TraceError};
 
 fn arb_event(rng: &mut Rng) -> TraceEvent {
     let mem = rng.gen_bool(0.5).then(|| MemAccess {
@@ -48,8 +48,8 @@ fn prop_round_trip() {
     })
     .check(|events| {
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, events).unwrap();
-        let back = read_trace(bytes.as_slice()).unwrap();
+        write_columns(&mut bytes, &TraceColumns::from_events(events)).unwrap();
+        let back: Vec<TraceEvent> = read_columns(&bytes).unwrap().iter().collect();
         assert_eq!(&back, events);
     });
 }
@@ -64,11 +64,11 @@ fn prop_truncation_is_detected() {
     })
     .check(|(events, cut_fraction)| {
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, events).unwrap();
+        write_columns(&mut bytes, &TraceColumns::from_events(events)).unwrap();
         let cut = ((bytes.len() as f64) * cut_fraction) as usize;
         if cut < bytes.len() {
             bytes.truncate(cut);
-            assert!(read_trace(bytes.as_slice()).is_err());
+            assert!(read_columns(&bytes).is_err());
         }
     });
 }
@@ -84,9 +84,9 @@ fn prop_legacy_v1_magic_is_bad_magic() {
     })
     .check(|events| {
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, events).unwrap();
+        write_columns(&mut bytes, &TraceColumns::from_events(events)).unwrap();
         bytes[..8].copy_from_slice(b"provptr1");
-        let err = read_trace(bytes.as_slice()).unwrap_err();
+        let err = read_columns(&bytes).unwrap_err();
         assert!(matches!(err, TraceError::BadMagic), "{err}");
     });
 }
@@ -138,11 +138,12 @@ fn prop_corruption_never_panics() {
     })
     .check(|(events, flips)| {
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, events).unwrap();
+        write_columns(&mut bytes, &TraceColumns::from_events(events)).unwrap();
         for &(idx, value) in flips {
             let i = (idx % bytes.len() as u64) as usize;
             bytes[i] ^= value;
         }
-        let _ = read_trace(bytes.as_slice()); // Ok or Err, both fine.
+        // Ok or Err, both fine.
+        let _ = read_columns(&bytes).map(|cols| cols.iter().collect::<Vec<_>>());
     });
 }
