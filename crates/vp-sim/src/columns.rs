@@ -3,11 +3,12 @@
 //! The AoS `Vec<TraceEvent>` layout spends 56 bytes per retired
 //! instruction and drags every optional field through the cache even for
 //! consumers that only want one column. [`TraceColumns`] stores the same
-//! information as parallel arrays — a one-byte flag word and two
-//! program-counter columns per event, plus *sparse* side arrays that hold
-//! destination / memory / store payloads only for the events that have
-//! them — cutting resident size roughly in half for typical traces and
-//! making the predictor-replay hot path a linear scan over dense memory.
+//! information as parallel arrays — a one-byte flag word and the
+//! program counter per event, plus *sparse* side arrays that hold
+//! destination / memory / store payloads and the next PC of taken
+//! branches and jumps only for the events that have them — cutting
+//! resident size roughly in half for typical traces and making the
+//! predictor-replay hot path a linear scan over dense memory.
 //!
 //! Two access paths matter:
 //!
@@ -32,7 +33,7 @@ use crate::record::TraceEvent;
 use crate::Tracer;
 
 // Flag bits of the per-event flag byte (shared with the spill format,
-// which stores this column verbatim).
+// which stores this column as it is, less `F_JUMP`).
 pub(crate) const F_DEST: u8 = 1 << 0;
 pub(crate) const F_DEST_FP: u8 = 1 << 1;
 pub(crate) const F_MEM: u8 = 1 << 2;
@@ -40,17 +41,23 @@ pub(crate) const F_MEM_STORE: u8 = 1 << 3;
 pub(crate) const F_BRANCH: u8 = 1 << 4;
 pub(crate) const F_TAKEN: u8 = 1 << 5;
 pub(crate) const F_ALL: u8 = F_DEST | F_DEST_FP | F_MEM | F_MEM_STORE | F_BRANCH | F_TAKEN;
+/// In memory only: the event does not fall through to `addr + 1`, and its
+/// next PC is in the sparse `next_pc` column. The spill format does not
+/// store this bit; it derives it from the next-PC deltas.
+pub(crate) const F_JUMP: u8 = 1 << 6;
 
 /// A retirement trace in struct-of-arrays form.
 ///
-/// Dense columns (`flags`, `addr`, `next_pc`) have one element per event;
-/// sparse columns hold payloads only for events whose flag bit is set, in
-/// event order. Iteration reconstitutes events with running cursors into
+/// Dense columns (`flags`, `addr`) have one element per event; sparse
+/// columns hold payloads only for events whose flag bit is set, in event
+/// order. Iteration reconstitutes events with running cursors into
 /// the sparse columns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceColumns {
     flags: Vec<u8>,
     addr: Vec<u32>,
+    /// Program counter after the event, one per `F_JUMP` event (every
+    /// other event falls through to `addr + 1`).
     next_pc: Vec<u32>,
     /// Destination register index, one per `F_DEST` event.
     dest_reg: Vec<u8>,
@@ -124,6 +131,7 @@ impl TraceColumns {
     }
 
     /// Appends one retirement.
+    #[inline]
     pub fn push_retirement(&mut self, ev: &Retirement<'_>) {
         self.push_parts(ev.addr, ev.dest, ev.mem, ev.stored, ev.taken, ev.next_pc);
     }
@@ -136,6 +144,7 @@ impl TraceColumns {
         self.push_parts(ev.addr, ev.dest, ev.mem, ev.stored, ev.taken, ev.next_pc);
     }
 
+    #[inline]
     fn push_parts(
         &mut self,
         addr: InstrAddr,
@@ -168,9 +177,12 @@ impl TraceColumns {
                 flags |= F_TAKEN;
             }
         }
+        if next_pc.index() != addr.index().wrapping_add(1) {
+            flags |= F_JUMP;
+            self.next_pc.push(next_pc.index());
+        }
         self.flags.push(flags);
         self.addr.push(addr.index());
-        self.next_pc.push(next_pc.index());
     }
 
     /// Builds columns from an owned event slice.
@@ -179,7 +191,6 @@ impl TraceColumns {
         let mut cols = TraceColumns {
             flags: Vec::with_capacity(events.len()),
             addr: Vec::with_capacity(events.len()),
-            next_pc: Vec::with_capacity(events.len()),
             ..TraceColumns::default()
         };
         for ev in events {
@@ -199,6 +210,7 @@ impl TraceColumns {
             d: 0,
             m: 0,
             s: 0,
+            j: 0,
         }
     }
 
@@ -256,14 +268,15 @@ impl TraceColumns {
         // Dense columns stream through zipped slice iterators (no per-event
         // bounds checks); sparse side columns advance by slice splitting,
         // so a malformed column length surfaces as a clean error instead of
-        // a panic.
+        // a panic. The next-PC column is read without a branch.
         let text = program.text();
+        let short = || io::Error::new(io::ErrorKind::InvalidData, "sparse trace column too short");
         let (mut dr, mut dv) = (&self.dest_reg[..], &self.dest_val[..]);
+        let jumps = &self.next_pc[..];
+        let mut j = 0;
         let mut ma = &self.mem_addr[..];
         let mut st = &self.stored[..];
-        let short = || io::Error::new(io::ErrorKind::InvalidData, "sparse trace column too short");
-        for ((&flags, &raw_addr), &raw_next) in self.flags.iter().zip(&self.addr).zip(&self.next_pc)
-        {
+        for (&flags, &raw_addr) in self.flags.iter().zip(&self.addr) {
             let addr = InstrAddr::new(raw_addr);
             let instr = text.get(raw_addr as usize).ok_or_else(|| {
                 io::Error::new(
@@ -306,6 +319,12 @@ impl TraceColumns {
                 (None, None)
             };
             let taken = (flags & F_BRANCH != 0).then_some(flags & F_TAKEN != 0);
+            // Select rather than branch: whether an event jumps is as
+            // unpredictable as the program's own branches.
+            let fall = raw_addr.wrapping_add(1);
+            let jumped = jumps.get(j).copied().unwrap_or(fall);
+            let next_pc = if flags & F_JUMP != 0 { jumped } else { fall };
+            j += usize::from(flags & F_JUMP != 0);
             tracer.retire(&Retirement {
                 addr,
                 instr,
@@ -313,9 +332,11 @@ impl TraceColumns {
                 mem,
                 stored,
                 taken,
-                next_pc: InstrAddr::new(raw_next),
+                next_pc: InstrAddr::new(next_pc),
             });
         }
+        // `push_parts` and the decoder keep one next PC per jump flag.
+        debug_assert_eq!(j, jumps.len());
         Ok(())
     }
 
@@ -344,7 +365,6 @@ impl TraceColumns {
         stored: Vec<u64>,
     ) -> Self {
         debug_assert_eq!(flags.len(), addr.len());
-        debug_assert_eq!(flags.len(), next_pc.len());
         debug_assert_eq!(dest_reg.len(), dest_val.len());
         TraceColumns {
             flags,
@@ -377,6 +397,7 @@ pub struct Events<'a> {
     d: usize,
     m: usize,
     s: usize,
+    j: usize,
 }
 
 impl Iterator for Events<'_> {
@@ -386,7 +407,12 @@ impl Iterator for Events<'_> {
         let c = self.cols;
         let flags = *c.flags.get(self.i)?;
         let addr = InstrAddr::new(c.addr[self.i]);
-        let next_pc = InstrAddr::new(c.next_pc[self.i]);
+        let next_pc = if flags & F_JUMP != 0 {
+            self.j += 1;
+            InstrAddr::new(c.next_pc[self.j - 1])
+        } else {
+            InstrAddr::new(addr.index().wrapping_add(1))
+        };
         self.i += 1;
         let dest = if flags & F_DEST != 0 {
             let class = if flags & F_DEST_FP != 0 {
@@ -615,6 +641,10 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         assert!(cols.dest_count() < cols.len());
         assert!(cols.mem_count() < cols.len());
         assert!(cols.store_count() <= cols.mem_count());
+        // Only taken branches and jumps carry a next PC.
+        let jumps = cols.iter().filter(|e| e.next_pc != e.addr.next()).count();
+        assert!(jumps > 0 && jumps < cols.len());
+        assert_eq!(cols.next_pc.len(), jumps);
         // SoA resident size is far below the 56-byte AoS event.
         assert!(cols.approx_bytes() < cols.len() * mem::size_of::<TraceEvent>());
     }

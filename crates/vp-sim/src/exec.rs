@@ -1,4 +1,12 @@
-//! Single-step instruction semantics.
+//! Instruction semantics: the simulator's one executor.
+//!
+//! Text is decoded into `Decoded` records before it runs: register
+//! operands become slots of the machine's unified register file (integer
+//! `r0` reads a slot that always holds zero; a discarded destination
+//! writes a sink slot), the reported destination and the branch target are
+//! computed once, and the opcode is the handler tag. `run_on` decodes a
+//! whole text segment once; [`step`] decodes the one instruction it
+//! executes. Both then call the same `execute`.
 //!
 //! Arithmetic is trap-free by definition (like most simulators' functional
 //! mode): integer division by zero yields 0, remainder by zero yields the
@@ -7,6 +15,7 @@
 
 use vp_isa::{Instr, InstrAddr, Opcode, Program, Reg, RegClass};
 
+use crate::machine::{slot, SINK};
 use crate::{Machine, SimError};
 
 /// A retired instruction delivered to a [`crate::Tracer`].
@@ -53,6 +62,195 @@ pub enum StepOutcome {
     Halted,
 }
 
+/// One text instruction decoded for the executor: source and destination
+/// register slots resolved (integer `r0` reads slot 0, which always holds
+/// zero; a discarded or absent destination writes the sink), the reported
+/// destination precomputed, and the branch target resolved.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Decoded<'a> {
+    instr: &'a Instr,
+    op: Opcode,
+    rs1: u8,
+    rs2: u8,
+    rd: u8,
+    dest: Option<(RegClass, Reg)>,
+    imm: i64,
+    /// `pc + imm` for conditional branches and `jal`; `None` when it
+    /// leaves the 32-bit instruction address space.
+    target: Option<InstrAddr>,
+}
+
+impl<'a> Decoded<'a> {
+    /// Decodes `instr`, which sits at text address `pc`.
+    pub(crate) fn new(pc: InstrAddr, instr: &'a Instr) -> Self {
+        let src = |class: Option<RegClass>, reg: Reg| class.map_or(0, |c| slot(c, reg));
+        let dest = instr.dest();
+        Decoded {
+            instr,
+            op: instr.op,
+            rs1: src(instr.op.src1_class(), instr.rs1),
+            rs2: src(instr.op.src2_class(), instr.rs2),
+            rd: dest.map_or(SINK, |(class, rd)| slot(class, rd)),
+            dest,
+            imm: instr.imm,
+            target: i32::try_from(instr.imm).ok().and_then(|d| pc.offset(d)),
+        }
+    }
+
+    /// Whether this is a `halt`.
+    pub(crate) fn halts(&self) -> bool {
+        self.op == Opcode::Halt
+    }
+}
+
+/// Decodes a whole text segment once, for [`crate::runner::run_on`].
+pub(crate) fn decode(program: &Program) -> Vec<Decoded<'_>> {
+    program
+        .iter()
+        .map(|(pc, instr)| Decoded::new(pc, instr))
+        .collect()
+}
+
+/// Executes `d`, the decoded instruction at the machine's PC, and returns
+/// its retirement record. This is the simulator's only executor: [`step`]
+/// decodes one instruction for it, `run_on` a whole text segment.
+///
+/// On a fault nothing is committed: registers, memory and the PC are as
+/// before the call.
+///
+/// Always inlined into the run loop: as a call, passing the record back
+/// through memory, it cost a plain run about 40% more per instruction.
+#[inline(always)]
+pub(crate) fn execute<'a>(
+    machine: &mut Machine,
+    d: &Decoded<'a>,
+) -> Result<Retirement<'a>, SimError> {
+    let pc = machine.pc;
+    let a = machine.regs[usize::from(d.rs1)];
+    let b = machine.regs[usize::from(d.rs2)];
+    let imm = d.imm as u64;
+    let (fa, fb) = (f64::from_bits(a), f64::from_bits(b));
+    let i = |v: u64| v as i64;
+
+    let mut mem = None;
+    let mut stored = None;
+    let mut taken = None;
+    let mut next_pc = pc.next();
+    let overflow = SimError::TargetOverflow { at: pc };
+
+    use Opcode::*;
+    let value = match d.op {
+        // ----- integer register-register -----
+        Add => a.wrapping_add(b),
+        Sub => a.wrapping_sub(b),
+        Mul => a.wrapping_mul(b),
+        Div => (if b == 0 { 0 } else { i(a).wrapping_div(i(b)) }) as u64,
+        Rem => {
+            (if b == 0 {
+                i(a)
+            } else {
+                i(a).wrapping_rem(i(b))
+            }) as u64
+        }
+        And => a & b,
+        Or => a | b,
+        Xor => a ^ b,
+        Sll => a << (b & 63),
+        Srl => a >> (b & 63),
+        Sra => (i(a) >> (b & 63)) as u64,
+        Slt => u64::from(i(a) < i(b)),
+        Sltu => u64::from(a < b),
+
+        // ----- integer register-immediate -----
+        Addi => a.wrapping_add(imm),
+        Andi => a & imm,
+        Ori => a | imm,
+        Xori => a ^ imm,
+        Slli => a << (imm & 63),
+        Srli => a >> (imm & 63),
+        Srai => (i(a) >> (imm & 63)) as u64,
+        Slti => u64::from(i(a) < d.imm),
+        Muli => a.wrapping_mul(imm),
+
+        // ----- constants & moves -----
+        Li => imm,
+        Mv => a,
+
+        // ----- memory -----
+        Ld | Fld => {
+            let addr = a.wrapping_add(imm);
+            mem = Some(MemAccess { addr, store: false });
+            machine.mem.read(addr)
+        }
+        Sd | Fsd => {
+            let addr = a.wrapping_add(imm);
+            machine.mem.write(addr, b);
+            mem = Some(MemAccess { addr, store: true });
+            stored = Some(b);
+            0
+        }
+
+        // ----- floating point -----
+        Fadd => (fa + fb).to_bits(),
+        Fsub => (fa - fb).to_bits(),
+        Fmul => (fa * fb).to_bits(),
+        Fdiv => (fa / fb).to_bits(),
+        Fmin => fa.min(fb).to_bits(),
+        Fmax => fa.max(fb).to_bits(),
+        Fneg => (-fa).to_bits(),
+        Fmv => fa.to_bits(),
+        CvtIf => (i(a) as f64).to_bits(),
+        CvtFi => (if fa.is_nan() { 0 } else { fa as i64 }) as u64,
+        Feq => u64::from(fa == fb),
+        Flt => u64::from(fa < fb),
+        Fle => u64::from(fa <= fb),
+
+        // ----- control flow -----
+        Beq | Bne | Blt | Bge | Bltu | Bgeu => {
+            let t = match d.op {
+                Beq => a == b,
+                Bne => a != b,
+                Blt => i(a) < i(b),
+                Bge => i(a) >= i(b),
+                Bltu => a < b,
+                _ => a >= b,
+            };
+            taken = Some(t);
+            if t {
+                next_pc = d.target.ok_or(overflow)?;
+            }
+            0
+        }
+        Jal => {
+            next_pc = d.target.ok_or(overflow)?;
+            u64::from(pc.next().index())
+        }
+        Jalr => {
+            next_pc = u32::try_from(a.wrapping_add(imm))
+                .map(InstrAddr::new)
+                .map_err(|_| overflow)?;
+            u64::from(pc.next().index())
+        }
+
+        // ----- system -----
+        Nop | Halt => 0,
+    };
+
+    // Commit: the sink absorbs the result of an instruction with no
+    // architecturally visible destination, which is then not reported.
+    machine.regs[usize::from(d.rd)] = value;
+    machine.pc = next_pc;
+    Ok(Retirement {
+        addr: pc,
+        instr: d.instr,
+        dest: d.dest.map(|(class, rd)| (class, rd, value)),
+        mem,
+        stored,
+        taken,
+        next_pc,
+    })
+}
+
 /// Executes the instruction at the machine's current PC and invokes
 /// `on_retire` with the retirement record.
 ///
@@ -72,159 +270,13 @@ pub fn step<'a>(
         pc,
         text_len: program.len(),
     })?;
-
-    let ir = |r: Reg| machine.read_reg(RegClass::Int, r);
-    let fr = |r: Reg| machine.read_f64(r);
-    let i = |v: u64| v as i64;
-
-    let mut dest: Option<u64> = None;
-    let mut mem: Option<MemAccess> = None;
-    let mut stored: Option<u64> = None;
-    let mut taken: Option<bool> = None;
-    let mut next_pc = pc.next();
-    let mut halted = false;
-
-    use Opcode::*;
-    match instr.op {
-        // ----- integer register-register -----
-        Add => dest = Some(ir(instr.rs1).wrapping_add(ir(instr.rs2))),
-        Sub => dest = Some(ir(instr.rs1).wrapping_sub(ir(instr.rs2))),
-        Mul => dest = Some(ir(instr.rs1).wrapping_mul(ir(instr.rs2))),
-        Div => {
-            let (a, b) = (i(ir(instr.rs1)), i(ir(instr.rs2)));
-            dest = Some(if b == 0 { 0 } else { a.wrapping_div(b) } as u64);
-        }
-        Rem => {
-            let (a, b) = (i(ir(instr.rs1)), i(ir(instr.rs2)));
-            dest = Some(if b == 0 { a } else { a.wrapping_rem(b) } as u64);
-        }
-        And => dest = Some(ir(instr.rs1) & ir(instr.rs2)),
-        Or => dest = Some(ir(instr.rs1) | ir(instr.rs2)),
-        Xor => dest = Some(ir(instr.rs1) ^ ir(instr.rs2)),
-        Sll => dest = Some(ir(instr.rs1) << (ir(instr.rs2) & 63)),
-        Srl => dest = Some(ir(instr.rs1) >> (ir(instr.rs2) & 63)),
-        Sra => dest = Some((i(ir(instr.rs1)) >> (ir(instr.rs2) & 63)) as u64),
-        Slt => dest = Some(u64::from(i(ir(instr.rs1)) < i(ir(instr.rs2)))),
-        Sltu => dest = Some(u64::from(ir(instr.rs1) < ir(instr.rs2))),
-
-        // ----- integer register-immediate -----
-        Addi => dest = Some(ir(instr.rs1).wrapping_add(instr.imm as u64)),
-        Andi => dest = Some(ir(instr.rs1) & instr.imm as u64),
-        Ori => dest = Some(ir(instr.rs1) | instr.imm as u64),
-        Xori => dest = Some(ir(instr.rs1) ^ instr.imm as u64),
-        Slli => dest = Some(ir(instr.rs1) << (instr.imm as u64 & 63)),
-        Srli => dest = Some(ir(instr.rs1) >> (instr.imm as u64 & 63)),
-        Srai => dest = Some((i(ir(instr.rs1)) >> (instr.imm as u64 & 63)) as u64),
-        Slti => dest = Some(u64::from(i(ir(instr.rs1)) < instr.imm)),
-        Muli => dest = Some(ir(instr.rs1).wrapping_mul(instr.imm as u64)),
-
-        // ----- constants & moves -----
-        Li => dest = Some(instr.imm as u64),
-        Mv => dest = Some(ir(instr.rs1)),
-
-        // ----- memory -----
-        Ld | Fld => {
-            let addr = ir(instr.rs1).wrapping_add(instr.imm as u64);
-            dest = Some(machine.memory_mut().read(addr));
-            mem = Some(MemAccess { addr, store: false });
-        }
-        Sd | Fsd => {
-            let addr = ir(instr.rs1).wrapping_add(instr.imm as u64);
-            let class = if instr.op == Fsd {
-                RegClass::Fp
-            } else {
-                RegClass::Int
-            };
-            let value = machine.read_reg(class, instr.rs2);
-            machine.memory_mut().write(addr, value);
-            mem = Some(MemAccess { addr, store: true });
-            stored = Some(value);
-        }
-
-        // ----- floating point -----
-        Fadd => dest = Some((fr(instr.rs1) + fr(instr.rs2)).to_bits()),
-        Fsub => dest = Some((fr(instr.rs1) - fr(instr.rs2)).to_bits()),
-        Fmul => dest = Some((fr(instr.rs1) * fr(instr.rs2)).to_bits()),
-        Fdiv => dest = Some((fr(instr.rs1) / fr(instr.rs2)).to_bits()),
-        Fmin => dest = Some(fr(instr.rs1).min(fr(instr.rs2)).to_bits()),
-        Fmax => dest = Some(fr(instr.rs1).max(fr(instr.rs2)).to_bits()),
-        Fneg => dest = Some((-fr(instr.rs1)).to_bits()),
-        Fmv => dest = Some(fr(instr.rs1).to_bits()),
-        CvtIf => dest = Some((i(ir(instr.rs1)) as f64).to_bits()),
-        CvtFi => {
-            let v = fr(instr.rs1);
-            let t = if v.is_nan() { 0 } else { v as i64 };
-            dest = Some(t as u64);
-        }
-        Feq => dest = Some(u64::from(fr(instr.rs1) == fr(instr.rs2))),
-        Flt => dest = Some(u64::from(fr(instr.rs1) < fr(instr.rs2))),
-        Fle => dest = Some(u64::from(fr(instr.rs1) <= fr(instr.rs2))),
-
-        // ----- control flow -----
-        Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-            let (a, b) = (ir(instr.rs1), ir(instr.rs2));
-            let t = match instr.op {
-                Beq => a == b,
-                Bne => a != b,
-                Blt => i(a) < i(b),
-                Bge => i(a) >= i(b),
-                Bltu => a < b,
-                Bgeu => a >= b,
-                _ => unreachable!(),
-            };
-            taken = Some(t);
-            if t {
-                next_pc =
-                    branch_target(pc, instr.imm).ok_or(SimError::TargetOverflow { at: pc })?;
-            }
-        }
-        Jal => {
-            dest = Some(u64::from(pc.next().index()));
-            next_pc = branch_target(pc, instr.imm).ok_or(SimError::TargetOverflow { at: pc })?;
-        }
-        Jalr => {
-            dest = Some(u64::from(pc.next().index()));
-            let target = ir(instr.rs1).wrapping_add(instr.imm as u64);
-            next_pc = u32::try_from(target)
-                .map(InstrAddr::new)
-                .map_err(|_| SimError::TargetOverflow { at: pc })?;
-        }
-
-        // ----- system -----
-        Nop => {}
-        Halt => halted = true,
-    }
-
-    // Commit the destination (honouring the hardwired integer zero register)
-    // and report the *architecturally visible* write only.
-    let dest = match (instr.dest(), dest) {
-        (Some((class, rd)), Some(value)) => {
-            machine.write_reg(class, rd, value);
-            Some((class, rd, value))
-        }
-        _ => None,
-    };
-
-    machine.set_pc(next_pc);
-    let retirement = Retirement {
-        addr: pc,
-        instr,
-        dest,
-        mem,
-        stored,
-        taken,
-        next_pc,
-    };
-    on_retire(&retirement);
-    Ok(if halted {
+    let d = Decoded::new(pc, instr);
+    on_retire(&execute(machine, &d)?);
+    Ok(if d.halts() {
         StepOutcome::Halted
     } else {
         StepOutcome::Continue
     })
-}
-
-fn branch_target(pc: InstrAddr, imm: i64) -> Option<InstrAddr> {
-    i32::try_from(imm).ok().and_then(|d| pc.offset(d))
 }
 
 #[cfg(test)]
@@ -280,10 +332,10 @@ mod tests {
 
     #[test]
     fn loads_and_stores_round_trip() {
-        let (mut m, log) =
+        let (m, log) =
             exec(".data 100 200\nld r1, 1(r0)\naddi r2, r1, 1\nsd r2, 5(r0)\nld r3, 5(r0)\nhalt\n");
         assert_eq!(m.read_reg(RegClass::Int, Reg::new(3)), 201);
-        assert_eq!(m.memory_mut().read(5), 201);
+        assert_eq!(m.memory().read(5), 201);
         // The store produces no dest value.
         assert_eq!(log[2].1, None);
     }

@@ -1,8 +1,26 @@
 //! Architectural machine state.
 
+use vp_isa::reg::NUM_REGS;
 use vp_isa::{InstrAddr, Program, Reg, RegClass};
 
 use crate::Memory;
+
+/// Register slots: the integer file at `0..32`, the floating-point file at
+/// `32..64`, and one write-only sink.
+const REG_SLOTS: usize = 2 * NUM_REGS + 1;
+
+/// The slot that swallows writes to integer `r0` (and the results of
+/// instructions with no destination), so integer slot 0 stays zero and
+/// reading it needs no special case.
+pub(crate) const SINK: u8 = (2 * NUM_REGS) as u8;
+
+/// The register slot of `reg` in file `class`.
+pub(crate) fn slot(class: RegClass, reg: Reg) -> u8 {
+    match class {
+        RegClass::Int => reg.index(),
+        RegClass::Fp => NUM_REGS as u8 + reg.index(),
+    }
+}
 
 /// Architectural state: both register files, the program counter and memory.
 ///
@@ -24,10 +42,10 @@ use crate::Memory;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Machine {
-    int_regs: [u64; vp_isa::reg::NUM_REGS],
-    fp_regs: [u64; vp_isa::reg::NUM_REGS],
-    pc: InstrAddr,
-    mem: Memory,
+    /// Both register files and the sink, indexed by [`slot`].
+    pub(crate) regs: [u64; REG_SLOTS],
+    pub(crate) pc: InstrAddr,
+    pub(crate) mem: Memory,
 }
 
 impl Machine {
@@ -36,8 +54,7 @@ impl Machine {
     #[must_use]
     pub fn for_program(program: &Program) -> Self {
         Machine {
-            int_regs: [0; vp_isa::reg::NUM_REGS],
-            fp_regs: [0; vp_isa::reg::NUM_REGS],
+            regs: [0; REG_SLOTS],
             pc: InstrAddr::new(0),
             mem: Memory::with_image(program.data()),
         }
@@ -57,51 +74,32 @@ impl Machine {
     /// Reads a register from the given file.
     #[must_use]
     pub fn read_reg(&self, class: RegClass, reg: Reg) -> u64 {
-        match class {
-            RegClass::Int => {
-                if reg.is_zero() {
-                    0
-                } else {
-                    self.int_regs[usize::from(reg)]
-                }
-            }
-            RegClass::Fp => self.fp_regs[usize::from(reg)],
-        }
+        self.regs[usize::from(slot(class, reg))]
     }
 
     /// Reads an FP register as a double.
     #[must_use]
     pub fn read_f64(&self, reg: Reg) -> f64 {
-        f64::from_bits(self.fp_regs[usize::from(reg)])
+        f64::from_bits(self.read_reg(RegClass::Fp, reg))
     }
 
     /// Writes a register in the given file. Writes to integer `r0` are
     /// discarded.
     pub fn write_reg(&mut self, class: RegClass, reg: Reg, value: u64) {
-        match class {
-            RegClass::Int => {
-                if !reg.is_zero() {
-                    self.int_regs[usize::from(reg)] = value;
-                }
-            }
-            RegClass::Fp => self.fp_regs[usize::from(reg)] = value,
+        if class == RegClass::Fp || !reg.is_zero() {
+            self.regs[usize::from(slot(class, reg))] = value;
         }
     }
 
     /// Writes an FP register from a double.
     pub fn write_f64(&mut self, reg: Reg, value: f64) {
-        self.fp_regs[usize::from(reg)] = value.to_bits();
+        self.write_reg(RegClass::Fp, reg, value.to_bits());
     }
 
     /// The machine's memory.
     #[must_use]
     pub fn memory(&self) -> &Memory {
         &self.mem
-    }
-
-    /// Mutable access to the machine's memory.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
     }
 }
 
@@ -116,9 +114,9 @@ mod tests {
 
     #[test]
     fn data_image_is_loaded() {
-        let mut m = machine();
-        assert_eq!(m.memory_mut().read(0), 11);
-        assert_eq!(m.memory_mut().read(1), 22);
+        let m = machine();
+        assert_eq!(m.memory().read(0), 11);
+        assert_eq!(m.memory().read(1), 22);
     }
 
     #[test]

@@ -1,16 +1,29 @@
-//! Sparse, word-addressed memory.
+//! Paged, word-addressed memory.
 //!
 //! The machine's memory is an array of 64-bit words indexed by `u64` word
 //! addresses. It is backed by lazily allocated fixed-size pages, so workloads
 //! can scatter data across a large address space without cost. Unwritten
 //! words read as zero, like a zero-filled address space.
+//!
+//! Every workload keeps its data in the low few thousand words, so pages
+//! below [`DENSE_PAGES`] live in a page table indexed directly by page
+//! number: a load or store there costs one bounds check and two loads, no
+//! hashing. Pages above it (a pointer walk that wanders far, a wrapped
+//! effective address) fall back to a sparse map.
 
 use std::collections::HashMap;
 
 /// Words per page. A power of two so address splitting is a shift/mask.
-const PAGE_WORDS: usize = 1 << 12;
+pub const PAGE_WORDS: usize = 1 << 12;
 
-/// Sparse word-addressed memory with zero-fill semantics.
+/// Pages reachable through the direct page table: the low 2²⁰ words
+/// (8 MiB of data). The table grows only as far as the highest page
+/// written, so a small program pays for a few slots.
+pub const DENSE_PAGES: u64 = 256;
+
+type Page = Box<[u64; PAGE_WORDS]>;
+
+/// Paged word-addressed memory with zero-fill semantics.
 ///
 /// # Examples
 ///
@@ -23,9 +36,10 @@ const PAGE_WORDS: usize = 1 << 12;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
-    reads: u64,
-    writes: u64,
+    /// Page `p < DENSE_PAGES` at index `p`, once written.
+    dense: Vec<Option<Page>>,
+    /// Pages at or above `DENSE_PAGES`.
+    sparse: HashMap<u64, Page>,
 }
 
 impl Memory {
@@ -45,51 +59,47 @@ impl Memory {
                 m.write(i as u64, w);
             }
         }
-        m.reads = 0;
-        m.writes = 0;
         m
     }
 
     /// Reads the word at `addr` (zero if never written).
-    pub fn read(&mut self, addr: u64) -> u64 {
-        self.reads += 1;
-        let (page, offset) = split(addr);
-        self.pages.get(&page).map_or(0, |p| p[offset])
-    }
-
-    /// Reads without counting as an access (for debugging / assertions).
     #[must_use]
-    pub fn peek(&self, addr: u64) -> u64 {
+    #[inline]
+    pub fn read(&self, addr: u64) -> u64 {
         let (page, offset) = split(addr);
-        self.pages.get(&page).map_or(0, |p| p[offset])
+        let page = if page < DENSE_PAGES {
+            self.dense.get(page as usize).and_then(Option::as_ref)
+        } else {
+            self.sparse.get(&page)
+        };
+        page.map_or(0, |p| p[offset])
     }
 
     /// Writes the word at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u64, value: u64) {
-        self.writes += 1;
         let (page, offset) = split(addr);
-        self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0; PAGE_WORDS]))[offset] = value;
+        let page = if page < DENSE_PAGES {
+            let slot = page as usize;
+            if slot >= self.dense.len() {
+                self.dense.resize_with(slot + 1, || None);
+            }
+            self.dense[slot].get_or_insert_with(zero_page)
+        } else {
+            self.sparse.entry(page).or_insert_with(zero_page)
+        };
+        page[offset] = value;
     }
 
     /// Number of pages that have been materialised.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.dense.iter().flatten().count() + self.sparse.len()
     }
+}
 
-    /// Total counted read accesses.
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total counted write accesses.
-    #[must_use]
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
+fn zero_page() -> Page {
+    Box::new([0; PAGE_WORDS])
 }
 
 fn split(addr: u64) -> (u64, usize) {
@@ -105,7 +115,7 @@ mod tests {
 
     #[test]
     fn zero_fill_semantics() {
-        let mut m = Memory::new();
+        let m = Memory::new();
         assert_eq!(m.read(0), 0);
         assert_eq!(m.read(u64::MAX), 0);
     }
@@ -130,28 +140,27 @@ mod tests {
     }
 
     #[test]
-    fn image_loads_at_zero_and_resets_counters() {
-        let mut m = Memory::with_image(&[5, 0, 7]);
+    fn image_loads_at_zero() {
+        let m = Memory::with_image(&[5, 0, 7]);
         assert_eq!(m.read(0), 5);
         assert_eq!(m.read(1), 0);
         assert_eq!(m.read(2), 7);
-        assert_eq!(m.writes(), 0);
-        assert_eq!(m.reads(), 3);
+        assert_eq!(m.resident_pages(), 1);
     }
 
     #[test]
-    fn peek_does_not_count() {
-        let m = Memory::with_image(&[9]);
-        assert_eq!(m.peek(0), 9);
-        assert_eq!(m.reads(), 0);
-    }
-
-    #[test]
-    fn access_counters_track() {
+    fn dense_and_sparse_pages_are_distinct() {
         let mut m = Memory::new();
-        m.write(1, 1);
-        m.write(2, 2);
-        m.read(1);
-        assert_eq!((m.reads(), m.writes()), (1, 2));
+        let edge = DENSE_PAGES * PAGE_WORDS as u64;
+        m.write(edge - 1, 1);
+        m.write(edge, 2);
+        m.write(u64::MAX, 3);
+        assert_eq!(
+            (m.read(edge - 1), m.read(edge), m.read(u64::MAX)),
+            (1, 2, 3)
+        );
+        // Same offset, one page below the boundary: never written.
+        assert_eq!(m.read(edge - PAGE_WORDS as u64), 0);
+        assert_eq!(m.resident_pages(), 3);
     }
 }

@@ -32,7 +32,7 @@ use std::io::{self, Write};
 
 use vp_isa::{InstrAddr, Program, Reg, RegClass};
 
-use crate::columns::{F_ALL, F_BRANCH, F_DEST, F_DEST_FP, F_MEM, F_MEM_STORE, F_TAKEN};
+use crate::columns::{F_ALL, F_BRANCH, F_DEST, F_DEST_FP, F_JUMP, F_MEM, F_MEM_STORE, F_TAKEN};
 use crate::exec::{MemAccess, Retirement};
 use crate::runner::{run, RunLimits};
 use crate::{SimError, TraceColumns, Tracer};
@@ -212,6 +212,7 @@ impl TraceRecorder {
 }
 
 impl Tracer for TraceRecorder {
+    #[inline]
     fn retire(&mut self, ev: &Retirement<'_>) {
         self.columns.push_retirement(ev);
     }
@@ -508,8 +509,8 @@ fn encode(cols: &TraceColumns) -> Vec<u8> {
     put_varint(&mut out, c.dest_val.len() as u64);
     put_varint(&mut out, c.mem_addr.len() as u64);
     put_varint(&mut out, c.stored.len() as u64);
-    // Flag column, verbatim.
-    out.extend_from_slice(c.flags);
+    // Flag column, without the in-memory jump bit.
+    out.extend(c.flags.iter().map(|&f| f & F_ALL));
     // Address column: delta vs the previous event's address (consecutive
     // instructions differ by ±small values almost always).
     let mut prev = 0i64;
@@ -519,8 +520,14 @@ fn encode(cols: &TraceColumns) -> Vec<u8> {
         prev = v;
     }
     // Next-PC column: delta vs the fallthrough (`addr + 1`), which is
-    // zero for every non-taken-branch instruction.
-    for (&a, &np) in c.addr.iter().zip(c.next_pc) {
+    // zero for every event but taken branches and jumps.
+    let mut jumps = c.next_pc.iter();
+    for (&f, &a) in c.flags.iter().zip(c.addr) {
+        let np = if f & F_JUMP != 0 {
+            *jumps.next().expect("one next PC per jump flag")
+        } else {
+            a.wrapping_add(1)
+        };
         put_varint(&mut out, zigzag(i64::from(np) - (i64::from(a) + 1)));
     }
     // Destination register column, verbatim.
@@ -605,7 +612,7 @@ fn read_body(r: &mut Cursor<'_>) -> Result<TraceColumns, TraceError> {
 
     // Flag column: the buffer must hold all `n` bytes before any column
     // is sized from `n`.
-    let flags = r.take(n, "flag column")?.to_vec();
+    let mut flags = r.take(n, "flag column")?.to_vec();
     // Validate every flag byte and count the populations the sparse
     // columns must match.
     let (mut cd, mut cm, mut cs) = (0u64, 0u64, 0u64);
@@ -649,8 +656,8 @@ fn read_body(r: &mut Cursor<'_>) -> Result<TraceColumns, TraceError> {
         prev = i64::from(v);
     }
 
-    let mut next_pc = Vec::with_capacity(n);
-    for &a in &addr {
+    let mut next_pc = Vec::new();
+    for (f, &a) in flags.iter_mut().zip(&addr) {
         let d = unzigzag(r.varint("next-pc column")?);
         let v = (i64::from(a) + 1)
             .checked_add(d)
@@ -658,7 +665,10 @@ fn read_body(r: &mut Cursor<'_>) -> Result<TraceColumns, TraceError> {
             .ok_or_else(|| TraceError::Corrupt {
                 context: "next-pc out of range".to_owned(),
             })?;
-        next_pc.push(v);
+        if v != a.wrapping_add(1) {
+            *f |= F_JUMP;
+            next_pc.push(v);
+        }
     }
 
     let dest_reg = r.take(n_dest, "destination register column")?.to_vec();

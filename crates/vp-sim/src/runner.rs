@@ -4,7 +4,7 @@ use std::fmt;
 
 use vp_isa::Program;
 
-use crate::exec::{step, StepOutcome};
+use crate::exec::{decode, execute};
 use crate::{Machine, SimError, Tracer};
 
 /// Execution limits for a run.
@@ -113,14 +113,22 @@ pub fn run_on(
     limits: RunLimits,
 ) -> Result<RunSummary, SimError> {
     let started = std::time::Instant::now();
+    let text = decode(program);
     let mut retired = 0u64;
     let status = loop {
         if retired >= limits.max_instructions {
             break RunStatus::BudgetExhausted;
         }
-        let outcome = step(machine, program, |ev| tracer.retire(ev))?;
+        let pc = machine.pc();
+        let d = text
+            .get(pc.index() as usize)
+            .ok_or(SimError::PcOutOfRange {
+                pc,
+                text_len: text.len(),
+            })?;
+        tracer.retire(&execute(machine, d)?);
         retired += 1;
-        if outcome == StepOutcome::Halted {
+        if d.halts() {
             break RunStatus::Halted;
         }
     };

@@ -5,7 +5,10 @@
 //! biased toward the shapes the paper's workloads exhibit — counted loops,
 //! stride address arithmetic walking a data region, data-dependent loads,
 //! and directive-tagged value producers — because those are the paths the
-//! predictor stack actually exercises.
+//! predictor stack actually exercises. A quarter of the memory accesses
+//! go far outside the data region instead (past the simulator's direct
+//! page table, or wrapping around the top of the address space), so the
+//! simulator's sparse pages are checked too.
 //!
 //! # Well-formedness invariant
 //!
@@ -18,8 +21,8 @@
 //!   write them;
 //! - forward skip branches and `jal`s land only on *atom* boundaries, so
 //!   they can never jump into the middle of a multi-instruction idiom
-//!   (the `li`/`jalr` pair, the masked data-dependent load) nor skip a
-//!   loop-counter decrement;
+//!   (the `li`/`jalr` pair, the masked data-dependent load, the far
+//!   `li`/access pair) nor skip a loop-counter decrement;
 //! - `jalr` targets are materialised as absolute addresses of the very
 //!   next atom, so indirect jumps are exercised without ever leaving text.
 //!
@@ -28,11 +31,12 @@
 
 use vp_isa::{Directive, Instr, Opcode, Program, Reg};
 use vp_rng::Rng;
+use vp_sim::memory::{DENSE_PAGES, PAGE_WORDS};
 
 /// Register conventions used by generated programs (documented so shrunk
 /// repros stay readable):
 /// `r1..=r3` loop counters, `r4..=r7` stride pointers, `r8..=r15` integer
-/// scratch, `r16` data-dependent address temp, `r17..=r19` jump links and
+/// scratch, `r16` address temp for data-dependent and far accesses, `r17..=r19` jump links and
 /// targets, `f0..=f7` floating-point scratch.
 const LOOP_COUNTERS: [u8; 3] = [1, 2, 3];
 const POINTERS: [u8; 4] = [4, 5, 6, 7];
@@ -233,7 +237,7 @@ fn random_atom(rng: &mut Rng, cfg: &GenConfig, i: usize, n: usize) -> Atom {
     match rng.gen_range(0..100u32) {
         0..=29 => Atom::Plain(vec![int_alu(rng)]),
         30..=44 => Atom::Plain(vec![fp_op(rng)]),
-        45..=59 => Atom::Plain(vec![mem_op(rng, cfg)]),
+        45..=59 => Atom::Plain(mem_op(rng, cfg)),
         60..=69 => Atom::Plain(vec![pointer_advance(rng)]),
         70..=79 => Atom::Plain(data_dependent_load(rng, cfg)),
         80..=89 if i + 1 < n || n > 0 => forward_branch(rng, i, n),
@@ -272,7 +276,7 @@ fn atom_for(rng: &mut Rng, cfg: &GenConfig, op: Opcode, i: usize, n: usize) -> O
             rng.gen_range(-256..=256i64),
         )]),
         Mv => Atom::Plain(vec![Instr::unary(Mv, int_scratch(rng), int_scratch(rng))]),
-        Ld | Fld | Sd | Fsd => Atom::Plain(vec![mem_specific(rng, cfg, op)]),
+        Ld | Fld | Sd | Fsd => Atom::Plain(mem_specific(rng, cfg, op)),
         Fadd | Fsub | Fmul | Fdiv | Fmin | Fmax => Atom::Plain(vec![Instr::alu_rr(
             op,
             fp_scratch(rng),
@@ -369,22 +373,46 @@ fn fp_op(rng: &mut Rng) -> Instr {
     }
 }
 
-fn mem_op(rng: &mut Rng, cfg: &GenConfig) -> Instr {
+fn mem_op(rng: &mut Rng, cfg: &GenConfig) -> Vec<Instr> {
     use Opcode::*;
     let op = *rng.choose(&[Ld, Fld, Sd, Fsd]).unwrap();
     mem_specific(rng, cfg, op)
 }
 
-fn mem_specific(rng: &mut Rng, cfg: &GenConfig, op: Opcode) -> Instr {
+/// One memory access: usually off a stride pointer into the data region,
+/// one time in four far from it (see [`far_base`]).
+fn mem_specific(rng: &mut Rng, cfg: &GenConfig, op: Opcode) -> Vec<Instr> {
     use Opcode::*;
-    let base = pointer(rng);
     let off = rng.gen_range(0..cfg.data_words as i64);
-    match op {
+    let mut atom = Vec::with_capacity(2);
+    let base = if rng.gen_range(0..4u32) == 0 {
+        let temp = Reg::new(ADDR_TEMP);
+        atom.push(Instr::rd_imm(Li, temp, far_base(rng, cfg)));
+        temp
+    } else {
+        pointer(rng)
+    };
+    atom.push(match op {
         Ld => Instr::load(Ld, int_scratch(rng), base, off),
         Fld => Instr::load(Fld, fp_scratch(rng), base, off),
         Sd => Instr::store(Sd, int_scratch(rng), base, off),
         Fsd => Instr::store(Fsd, fp_scratch(rng), base, off),
         _ => unreachable!("mem_specific called with non-memory opcode"),
+    });
+    atom
+}
+
+/// A base address outside the data region, for a `li r16, base` in front
+/// of an access at offset `0..data_words`: straddling the end of the
+/// simulator's direct page table, inside its sparse page map, or just
+/// below `u64::MAX` so that `base + offset` wraps to a low address.
+fn far_base(rng: &mut Rng, cfg: &GenConfig) -> i64 {
+    let dense_end = (DENSE_PAGES * PAGE_WORDS as u64) as i64;
+    let span = cfg.data_words as i64;
+    match rng.gen_range(0..3u32) {
+        0 => dense_end - rng.gen_range(0..=span),
+        1 => rng.gen_range(dense_end..=i64::from(i32::MAX) - span),
+        _ => -rng.gen_range(1..=span),
     }
 }
 

@@ -629,7 +629,7 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
     }
 
     for (&addr, &value) in &reference.memory {
-        let opt = machine.memory().peek(addr);
+        let opt = machine.memory().read(addr);
         if opt != value {
             return Err(Divergence::Memory {
                 addr,
